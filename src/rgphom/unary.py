@@ -12,7 +12,11 @@ The module covers four layers:
   all 'a' (collapse_levels, prune_plus_arcs) and its reformulation as
   a scheduling feasibility problem solved by shortest paths;
 * the majority-polymorphism route for mixed {a, a+} path targets
-  (median_polymorphism, path_consistency_solve).
+  (median_polymorphism, path_consistency_solve): the median is a
+  majority polymorphism of every directed-path template, so one
+  (2,3)-consistency closure, run as a bitset worklist, leaves a
+  globally consistent network from which the lexicographically first
+  map is read off without search or re-closing.
 """
 
 from __future__ import annotations
@@ -871,7 +875,7 @@ def solve_path_template_with_reason(
 
     if label_class(q).kind is LabelKind.UNARY_A_APLUS:
         pattern, template = reduce_to_hom(p, q)
-        mapping = path_consistency_solve(pattern, template)
+        mapping = path_consistency_solve(pattern, template, budget)
         if mapping is None:
             return None, "no mapping survives path consistency"
         return _attach_witnesses(p, q, mapping, budget), None
@@ -968,95 +972,159 @@ def is_majority_polymorphism(d: TwoLabeledDigraph, f: MajorityTable) -> bool:
 def path_consistency_solve(
     g: TwoLabeledDigraph,
     h: TwoLabeledDigraph,
+    budget: SearchBudget | None = None,
 ) -> dict[str, str] | None:
-    """Homomorphism search that is complete whenever h has a majority
-    polymorphism: establish (2,3)-consistency over pairwise allowed
-    lists, then extract an assignment greedily, re-closing after each
-    choice."""
+    """Homomorphism g -> h that is complete whenever h has a majority
+    polymorphism.
+
+    The pairwise network (one allowed-value relation per pair of g's
+    vertices, plus domains) is closed once under (2,3)-consistency by a
+    bitset worklist (_PcNetwork.close).  A majority polymorphism of h
+    preserves every relation the closure derives, so the closed network
+    is globally consistent: each partial assignment allowed by all the
+    pairwise relations extends to a solution.  Extraction therefore
+    needs no re-closing: each vertex, in g.vertices order, takes the
+    first value in sorted-name order that every earlier choice allows.
+    The result is the lexicographically first homomorphism, the same
+    one that re-closing after each choice would pick.  Without a
+    majority polymorphism a returned map is still a homomorphism, but
+    None may be a false negative.  The budget ticks once per pair
+    revision.
+    """
+    budget = budget or SearchBudget()
     if not g.vertices:
         return {}
     if not h.vertices:
         return None
-    state = _PcState(g, h)
-    if not state.close():
+    net = _PcNetwork(g, h)
+    if not net.close(budget):
         return None
-    mapping: dict[str, str] = {}
-    for v in g.vertices:
-        chosen = None
-        for u in sorted(state.dom[v]):
-            trial = state.copy()
-            trial.dom[v] = {u}
-            if trial.close():
-                chosen = u
-                state = trial
-                break
-        if chosen is None:
-            return None
-        mapping[v] = chosen
-    return mapping
+    return net.first_solution()
 
 
-class _PcState:
-    """Domains plus pairwise allowed-value sets, closed under the
-    (2,3)-consistency rule."""
+def _bits(mask: int) -> Iterable[int]:
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _transpose(rows: Sequence[int]) -> list[int]:
+    """The rows of a square bit matrix, turned into its columns."""
+    cols = [0] * len(rows)
+    for u, row in enumerate(rows):
+        bit = 1 << u
+        for w in _bits(row):
+            cols[w] |= bit
+    return cols
+
+
+class _PcNetwork:
+    """Domains and pairwise relations over bit-indexed template values.
+
+    Variables are g's vertices in g.vertices order; value i is the i-th
+    template vertex in sorted-name order.  dom[x] is a bitmask of
+    values; rel[x][y][u] is the bitmask of values w allowed for y when
+    x takes u, and rel[y][x] is always its transpose.  loose[x][y]
+    records that rel[x][y] is the full product of the two domains.
+    Composing through z with a loose rel[x][z] gives dom[x] times the
+    image of dom[z] under rel[z][y], which is dom[y] once the pair
+    (z, y) is closed, so it prunes nothing the domains do not.
+    """
 
     def __init__(self, g: TwoLabeledDigraph, h: TwoLabeledDigraph):
+        self.values = sorted(h.vertices)
+        d = len(self.values)
+        index = {v: i for i, v in enumerate(self.values)}
         self.names = g.vertices
-        self.dom: dict[str, set[str]] = {v: set(h.vertices) for v in g.vertices}
-        full = {(u, w) for u in h.vertices for w in h.vertices}
-        self.rel: dict[tuple[str, str], set[tuple[str, str]]] = {}
-        for i, x in enumerate(self.names):
-            for y in self.names[i + 1:]:
-                self.rel[(x, y)] = set(full)
+        n = len(self.names)
+        var = {v: i for i, v in enumerate(self.names)}
+        full = (1 << d) - 1
+        self.dom = [full] * n
+        self.rel: list[list[list[int]]] = [
+            [[full] * d for _ in range(n)] for _ in range(n)]
+        self.loose = [[True] * n for _ in range(n)]
         for g_arcs, h_arcs in ((g.a_arcs, h.a_arcs), (g.t_arcs, h.t_arcs)):
-            for x, y in sorted(g_arcs):
-                if x == y:
-                    self.dom[x] &= {u for u, w in h_arcs if u == w}
-                elif (x, y) in self.rel:
-                    self.rel[(x, y)] &= h_arcs
-                else:
-                    self.rel[(y, x)] &= {(w, u) for u, w in h_arcs}
+            rows = [0] * d
+            loops = 0
+            for u, w in h_arcs:
+                rows[index[u]] |= 1 << index[w]
+                if u == w:
+                    loops |= 1 << index[u]
+            cols = _transpose(rows)
+            for x, y in g_arcs:
+                i, j = var[x], var[y]
+                if i == j:
+                    self.dom[i] &= loops
+                    continue
+                for u in range(d):
+                    self.rel[i][j][u] &= rows[u]
+                    self.rel[j][i][u] &= cols[u]
+                self.loose[i][j] = self.loose[j][i] = False
 
-    def copy(self) -> "_PcState":
-        dup = _PcState.__new__(_PcState)
-        dup.names = self.names
-        dup.dom = {v: set(s) for v, s in self.dom.items()}
-        dup.rel = {k: set(s) for k, s in self.rel.items()}
-        return dup
+    def close(self, budget: SearchBudget) -> bool:
+        """Shrink the network to its greatest (2,3)-consistent
+        subnetwork; False when a domain empties.
 
-    def pairs(self, x: str, y: str) -> set[tuple[str, str]]:
-        if (x, y) in self.rel:
-            return self.rel[(x, y)]
-        return {(b, a) for a, b in self.rel[(y, x)]}
+        A pair is revised when it is first queued and again only after
+        a relation it composes with changed; a revision that changes
+        rel[x][y] (or, with it, a domain) queues every other pair that
+        has x or y as an end.
+        """
+        n = len(self.names)
+        dom, rel, loose = self.dom, self.rel, self.loose
+        queue = deque((x, y) for x in range(n) for y in range(x + 1, n))
+        queued = [[True] * n for _ in range(n)]
+        while queue:
+            x, y = queue.popleft()
+            queued[x][y] = False
+            budget.tick()
+            old = rel[x][y]
+            dx, dy = dom[x], dom[y]
+            new = [row & dy if dx >> u & 1 else 0 for u, row in enumerate(old)]
+            for z in range(n):
+                if z == x or z == y or loose[x][z] or loose[z][y]:
+                    continue
+                xz, zy = rel[x][z], rel[z][y]
+                for u, row in enumerate(new):
+                    if row:
+                        reach = 0
+                        for m in _bits(xz[u] & dom[z]):
+                            reach |= zy[m]
+                        new[u] = row & reach
+            new_dx = new_dy = 0
+            for u, row in enumerate(new):
+                if row:
+                    new_dx |= 1 << u
+                    new_dy |= row
+            if not new_dx:
+                return False
+            if new == old and new_dx == dx and new_dy == dy:
+                continue
+            dom[x], dom[y] = new_dx, new_dy
+            rel[x][y] = new
+            rel[y][x] = _transpose(new)
+            loose[x][y] = loose[y][x] = all(row == new_dy for row in new if row)
+            for w in range(n):
+                if w == x or w == y:
+                    continue
+                for a, b in ((x, w), (y, w)):
+                    if a > b:
+                        a, b = b, a
+                    if not queued[a][b]:
+                        queued[a][b] = True
+                        queue.append((a, b))
+        return all(dom)
 
-    def close(self) -> bool:
-        names = self.names
-        changed = True
-        while changed:
-            changed = False
-            for (x, y), allowed in self.rel.items():
-                filtered = {(u, w) for u, w in allowed
-                            if u in self.dom[x] and w in self.dom[y]}
-                for z in names:
-                    if z == x or z == y:
-                        continue
-                    xz = self.pairs(x, z)
-                    zy = self.pairs(z, y)
-                    filtered = {
-                        (u, w) for u, w in filtered
-                        if any((u, m) in xz and (m, w) in zy
-                               for m in self.dom[z])}
-                if filtered != allowed:
-                    self.rel[(x, y)] = filtered
-                    changed = True
-                new_x = {u for u, _ in self.rel[(x, y)]}
-                new_y = {w for _, w in self.rel[(x, y)]}
-                if new_x != self.dom[x]:
-                    self.dom[x] = new_x
-                    changed = True
-                if new_y != self.dom[y]:
-                    self.dom[y] = new_y
-                    changed = True
-        if len(names) == 1:
-            return bool(self.dom[names[0]])
-        return all(self.dom[v] for v in names) and all(self.rel.values())
+    def first_solution(self) -> dict[str, str] | None:
+        """Each variable in order takes the lowest value that the
+        relations with every earlier choice allow."""
+        chosen: list[int] = []
+        for x, mask in enumerate(self.dom):
+            for y, u in enumerate(chosen):
+                mask &= self.rel[y][x][u]
+            if not mask:
+                return None
+            chosen.append((mask & -mask).bit_length() - 1)
+        return {v: self.values[u] for v, u in zip(self.names, chosen)}

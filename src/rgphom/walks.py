@@ -53,7 +53,7 @@ def walk_length_bound(q: Rgp, e: RegexAst) -> int:
 class _Engine:
     """Per-(target, label) search state shared by the BFS entry points."""
 
-    def __init__(self, q: Rgp, e: RegexAst):
+    def __init__(self, q: Rgp, e: RegexAst, budget: SearchBudget):
         self.q = q
         self.dfa = determinize(compile_nfa(e), q.alphabet)
         self.out: dict[str, list[tuple[int, str, int]]] = {v: [] for v in q.vertices}
@@ -62,14 +62,18 @@ class _Engine:
         for i, arc in enumerate(q.arcs):
             if arc.label not in labels:
                 labels[arc.label] = len(self.images)
-                self.images.append(self._label_images(compile_nfa(arc.label)))
+                self.images.append(
+                    self._label_images(compile_nfa(arc.label), budget))
             self.out[arc.src].append((i, arc.dst, labels[arc.label]))
 
-    def _label_images(self, nfa: Nfa) -> list[frozenset[int]]:
+    def _label_images(self, nfa: Nfa,
+                      budget: SearchBudget) -> list[frozenset[int]]:
         """images[s] = every DFA state reachable from s by a word of the
-        arc label's language, via BFS over the product automaton."""
+        arc label's language, via BFS over the product automaton; one
+        budget tick per DFA state."""
         result = []
         for start in range(self.dfa.n_states):
+            budget.tick()
             seen = {(start, nfa.initial)}
             queue = deque(seen)
             image = set()
@@ -141,8 +145,9 @@ def find_walk(
     for vertex in (u, v):
         if vertex not in q.vertices:
             raise PreconditionError(f"vertex {vertex!r} not in target")
-    engine = _Engine(q, e)
-    found = engine.search(u, v, budget or SearchBudget())
+    use_budget = budget or SearchBudget()
+    engine = _Engine(q, e, use_budget)
+    found = engine.search(u, v, use_budget)
     return found.get(v)
 
 
@@ -158,8 +163,8 @@ def relation_for_label(
         cached = _relation_cache.get(key)
     if cached is not None:
         return cached
-    engine = _Engine(q, e)
     use_budget = budget or SearchBudget()
+    engine = _Engine(q, e, use_budget)
     pairs = set()
     witnesses: dict[tuple[str, str], tuple[int, ...]] = {}
     for u in q.vertices:

@@ -139,6 +139,26 @@ def mixed_path(labels: str, prefix: str = "q") -> Rgp:
     return make_rgp("a", verts, arcs)
 
 
+def planted_mixed_path(rng, n: int) -> tuple[Rgp, Rgp]:
+    """A mixed {a, a+} path template on n vertices and an n-vertex
+    pattern with up to 2n arcs that maps into it by construction.
+
+    Each pattern vertex gets a seeded place on the path; 'a' arcs join
+    vertices placed on the two ends of an 'a' arc of the path, and a+
+    arcs join a vertex to one placed strictly further along.
+    """
+    labels = "".join(rng.choice(".+") for _ in range(n - 1))
+    q = mixed_path(labels)
+    names = [f"p{i}" for i in range(n)]
+    pos = {v: rng.randrange(n) for v in names}
+    forward = [(x, y) for x in names for y in names if pos[x] < pos[y]]
+    arcs = []
+    for x, y in rng.sample(forward, min(len(forward), 2 * n)):
+        on_a_arc = pos[y] == pos[x] + 1 and labels[pos[x]] == "."
+        arcs.append((x, y, "a" if on_a_arc and rng.random() < 0.5 else AP))
+    return make_rgp("a", names, arcs), q
+
+
 def undirected_template(edges, loops=(), plus_edges=(), plus_loops=()) -> Rgp:
     """Small undirected {a, a+} template from edge lists."""
     seen: list[str] = []

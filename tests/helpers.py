@@ -28,19 +28,16 @@ def words_of(node: RegexAst, limit: int) -> set[str]:
                 out.add(u + v)
         return out
     if isinstance(node, Star):
-        base = words_of(node.child, limit)
-        closure = {""}
-        frontier = {""}
-        while frontier:
-            extended = set()
-            for u in frontier:
-                for w in base:
-                    uw = u + w
-                    if len(uw) <= limit and uw not in closure:
-                        closure.add(uw)
-                        extended.add(uw)
-            frontier = extended
-        return closure
+        # By length: a nonempty star word of length L is a nonempty base
+        # word of some length k followed by a star word of length L - k.
+        base: list[set[str]] = [set() for _ in range(limit + 1)]
+        for w in words_of(node.child, limit):
+            base[len(w)].add(w)
+        star: list[set[str]] = [{""}]
+        for length in range(1, limit + 1):
+            star.append({u + v for k in range(1, length + 1)
+                         for u in base[k] for v in star[length - k]})
+        return set().union(*star)
     raise TypeError(node)
 
 

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from rgphom.cli import ENV_BUDGET, main
+from rgphom.regexes import parse_regex
 from rgphom.rgp import Rgp, make_rgp, serialize_rgp
-from rgphom.testkit import random_rgp
+from rgphom.testkit import gadget_ncore, random_rgp
 
 from fixtures import a_path, plus_cycle, two_label_pair, undirected_template
-from fixtures import mycielski_fixture
+from fixtures import mycielski_fixture, planted_mixed_path
 
 
 @pytest.fixture()
@@ -202,6 +204,27 @@ def test_budget_flag_stops_the_search(runner):
     p = save("p.json", random_rgp(0, 5, 6))
     q = save("q.json", random_rgp(1, 5, 6))
     code, _ = run("nhom", p, q, "--solver", "general", "--budget", "1")
+    assert code == 3
+
+
+def test_budget_bounds_the_mixed_path_route(runner):
+    save, run, _ = runner
+    p, q = planted_mixed_path(random.Random(16), 16)
+    p_path, q_path = save("p.json", p), save("q.json", q)
+    code, out = run("nhom", p_path, q_path)
+    assert code == 0 and as_doc(out)["solver"] == "path"
+    code, _ = run("nhom", p_path, q_path, "--budget", "5")
+    assert code == 3
+
+
+def test_budget_bounds_the_walk_engine_setup(runner):
+    # the two labels' DFAs have about 2^9 states; with this budget the
+    # run stops while building the per-label images, before any BFS
+    save, run, _ = runner
+    e1 = "(a|b)*a" + "(a|b)" * 8
+    alpha = ("a", "b", "c")
+    body = gadget_ncore(parse_regex(e1, alpha), parse_regex(e1 + "|b*", alpha))
+    code, _ = run("core", save("p.json", body), "--budget", "100")
     assert code == 3
 
 

@@ -6,9 +6,11 @@ import random
 import pytest
 
 from rgphom.errors import (
+    BudgetExceededError,
     NotAcyclicError,
     NotBalancedError,
     PreconditionError,
+    SearchBudget,
 )
 from rgphom.nhom import n_hom, verify_n_hom
 from rgphom.regexes import Sym
@@ -36,6 +38,7 @@ from rgphom.unary import (
     solve_scheduling,
     solve_undirected_easy,
     to_scheduling,
+    _PcNetwork,
 )
 
 from fixtures import (
@@ -44,6 +47,7 @@ from fixtures import (
     alternating_path,
     mixed_path,
     mycielski_fixture,
+    planted_mixed_path,
     three_component_pattern,
     undirected_template,
 )
@@ -520,6 +524,125 @@ def test_path_consistency_agrees_with_backtracking():
                 assert (pc[x], pc[y]) in h.a_arcs
             for x, y in g.t_arcs:
                 assert (pc[x], pc[y]) in h.t_arcs
+
+
+def _first_map_by_enumeration(g, h):
+    # variables in g.vertices order, values in sorted-name order, so
+    # product() yields candidate maps in lexicographic order
+    for values in itertools.product(sorted(h.vertices), repeat=len(g.vertices)):
+        f = dict(zip(g.vertices, values))
+        if (all((f[x], f[y]) in h.a_arcs for x, y in g.a_arcs)
+                and all((f[x], f[y]) in h.t_arcs for x, y in g.t_arcs)):
+            return f
+    return None
+
+
+def test_path_consistency_returns_the_lexicographically_first_map():
+    found = 0
+    for seed in range(240):
+        rng = random.Random(7000 + seed)
+        n = rng.randint(1, 4)
+        if seed % 2:
+            p, q = planted_mixed_path(rng, rng.randint(max(2, n), 6))
+        else:
+            q = mixed_path("".join(rng.choice(".+") for _ in range(rng.randint(1, 5))))
+            p = random_unary_pattern(rng, n, rng.randint(0, 2 * n))
+        g, h = reduce_to_hom(p, q)
+        # shuffled names, so that sorted-name order is not path order
+        names = dict(zip(h.vertices, rng.sample(h.vertices, len(h.vertices))))
+        h = TwoLabeledDigraph(
+            h.vertices,
+            frozenset((names[u], names[w]) for u, w in h.a_arcs),
+            frozenset((names[u], names[w]) for u, w in h.t_arcs))
+        expected = _first_map_by_enumeration(g, h)
+        assert path_consistency_solve(g, h) == expected, seed
+        found += expected is not None
+    assert found >= 120
+
+
+def test_path_consistency_spends_the_budget():
+    p, q = planted_mixed_path(random.Random(3), 8)
+    g, h = reduce_to_hom(p, q)
+    assert path_consistency_solve(g, h, SearchBudget()) is not None
+    with pytest.raises(BudgetExceededError):
+        path_consistency_solve(g, h, SearchBudget(max_nodes=5))
+    with pytest.raises(BudgetExceededError):
+        solve_path_template(p, q, SearchBudget(max_nodes=5))
+
+
+def _closed_by_sweeps(g, h):
+    # the greatest (2,3)-consistent network, by sweeping every ordered
+    # pair until nothing changes; None when some domain empties
+    loops = {"a": {u for u, w in h.a_arcs if u == w},
+             "t": {u for u, w in h.t_arcs if u == w}}
+    dom = {x: set(h.vertices) for x in g.vertices}
+    rel = {(x, y): {(u, w) for u in h.vertices for w in h.vertices}
+           for x in g.vertices for y in g.vertices if x != y}
+    for label, g_arcs, h_arcs in (("a", g.a_arcs, h.a_arcs),
+                                  ("t", g.t_arcs, h.t_arcs)):
+        for x, y in g_arcs:
+            if x == y:
+                dom[x] &= loops[label]
+            else:
+                rel[(x, y)] &= h_arcs
+                rel[(y, x)] &= {(w, u) for u, w in h_arcs}
+    changed = True
+    while changed:
+        changed = False
+        for (x, y), allowed in rel.items():
+            kept = {(u, w) for u, w in allowed
+                    if u in dom[x] and w in dom[y]
+                    and all(any((u, m) in rel[(x, z)] and (m, w) in rel[(z, y)]
+                                for m in dom[z])
+                            for z in g.vertices if z not in (x, y))}
+            if kept != allowed:
+                rel[(x, y)] = kept
+                rel[(y, x)] = {(w, u) for u, w in kept}
+                changed = True
+            for v, side in ((x, 0), (y, 1)):
+                projected = {pair[side] for pair in kept}
+                if projected != dom[v]:
+                    dom[v] = projected
+                    changed = True
+    if not all(dom.values()):
+        return None
+    return dom, rel
+
+
+def test_path_consistency_closure_matches_naive_sweeps():
+    # arbitrary small templates, most without a majority polymorphism,
+    # where the closure prunes far more than on path templates
+    def random_digraph(rng, names, p, loops):
+        pairs = [(u, w) for u in names for w in names
+                 if (u != w or loops) and rng.random() < p]
+        return frozenset(pairs)
+
+    closed = 0
+    for seed in range(200):
+        rng = random.Random(9000 + seed)
+        xs = tuple(f"x{i}" for i in range(rng.randint(5, 6)))
+        g = TwoLabeledDigraph(xs, random_digraph(rng, xs, 0.3, False),
+                              random_digraph(rng, xs, 0.3, False))
+        hs = tuple(f"h{i}" for i in range(rng.randint(3, 4)))
+        h = TwoLabeledDigraph(hs, random_digraph(rng, hs, 0.5, True),
+                              random_digraph(rng, hs, 0.6, True))
+        expected = _closed_by_sweeps(g, h)
+        net = _PcNetwork(g, h)
+        assert net.close(SearchBudget()) == (expected is not None), seed
+        if expected is None:
+            continue
+        closed += 1
+        dom, rel = expected
+        bits = {v: i for i, v in enumerate(net.values)}
+        for i, x in enumerate(g.vertices):
+            assert net.dom[i] == sum(1 << bits[u] for u in dom[x]), seed
+            for j, y in enumerate(g.vertices):
+                if i != j:
+                    rows = [0] * len(net.values)
+                    for u, w in rel[(x, y)]:
+                        rows[bits[u]] |= 1 << bits[w]
+                    assert net.rel[i][j] == rows, seed
+    assert closed >= 40
 
 
 def test_median_polymorphism_on_alternating_path():
