@@ -98,6 +98,8 @@ from .unary import (
     solve_undirected_easy,
     to_scheduling,
 )
-from .walks import WalkRelation, find_walk, relation_for_label, walk_length_bound
+from .walks import (
+    WalkRelation, find_walk, relation_for_label, walk_length_bound, witness_walks,
+)
 
 __version__ = "0.1.0"

@@ -75,10 +75,10 @@ def _undirected_route(p: Rgp, q: Rgp,
     return easy_certificate(template, p, q, budget)
 
 
-def _dispatch(p: Rgp, q: Rgp, solver: str, budget: SearchBudget,
-              jobs: int | None) -> tuple[NHomomorphism | None, str]:
+def _dispatch(p: Rgp, q: Rgp, solver: str,
+              budget: SearchBudget) -> tuple[NHomomorphism | None, str]:
     if solver == "general":
-        return n_hom(p, q, budget, jobs), "general"
+        return n_hom(p, q, budget), "general"
     if solver == "path":
         return solve_path_template(p, q, budget), "path"
     if solver == "undirected":
@@ -95,7 +95,7 @@ def _dispatch(p: Rgp, q: Rgp, solver: str, budget: SearchBudget,
             return _undirected_route(p, q, budget), "undirected"
         except PreconditionError:
             pass
-    return n_hom(p, q, budget, jobs), "general"
+    return n_hom(p, q, budget), "general"
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +105,7 @@ def _dispatch(p: Rgp, q: Rgp, solver: str, budget: SearchBudget,
 def _cmd_nhom(args: argparse.Namespace) -> int:
     p = _load_rgp(args.pattern)
     q = _load_rgp(args.target)
-    cert, route = _dispatch(p, q, args.solver, _budget(args), args.jobs)
+    cert, route = _dispatch(p, q, args.solver, _budget(args))
     if cert is None:
         _emit({"exists": False, "solver": route})
         return 1
@@ -248,8 +248,6 @@ def _parser() -> argparse.ArgumentParser:
                    help="write the witness mapping to this file")
     s.add_argument("--solver", default="auto",
                    choices=("auto", "general", "path", "undirected"))
-    s.add_argument("--jobs", type=int, default=None,
-                   help="parallel workers for per-label relations")
     _add_budget(s)
     s.set_defaults(func=_cmd_nhom)
 

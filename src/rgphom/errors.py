@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 import time
 
 
@@ -45,7 +44,7 @@ class SearchBudget:
 
     A single budget instance accumulates across sub-searches (for example
     the per-arc sub-solves inside an n-core check), so one verdict gets
-    one overall cap. tick() is serialized for use under --jobs.
+    one overall cap.
     """
 
     def __init__(self, max_nodes: int = 10_000_000, max_seconds: float = 60.0):
@@ -53,14 +52,12 @@ class SearchBudget:
         self.max_seconds = max_seconds
         self.nodes = 0
         self._started = time.monotonic()
-        self._lock = threading.Lock()
 
     def tick(self, n: int = 1) -> None:
-        with self._lock:
-            self.nodes += n
-            if self.nodes > self.max_nodes:
-                raise BudgetExceededError(
-                    f"search exceeded {self.max_nodes} nodes")
+        self.nodes += n
+        if self.nodes > self.max_nodes:
+            raise BudgetExceededError(
+                f"search exceeded {self.max_nodes} nodes")
         if time.monotonic() - self._started > self.max_seconds:
             raise BudgetExceededError(
                 f"search exceeded {self.max_seconds:.0f} seconds")

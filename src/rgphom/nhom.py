@@ -14,7 +14,6 @@ per pattern arc, as target arc index sequences.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -23,7 +22,7 @@ from .errors import PreconditionError, SearchBudget
 from .languages import concat_inclusion
 from .regexes import RegexAst
 from .rgp import Rgp, delete_arc, delete_vertex, is_walk, walk_endpoints
-from .walks import WalkRelation, relation_for_label
+from .walks import WalkRelation, relation_for_label, witness_walks
 
 
 @dataclass
@@ -62,17 +61,12 @@ def label_relations(
     p: Rgp,
     q: Rgp,
     budget: SearchBudget | None = None,
-    jobs: int | None = None,
 ) -> dict[RegexAst, WalkRelation]:
     """Walk relations over q for every distinct arc label of p."""
     labels: list[RegexAst] = []
     for arc in p.arcs:
         if arc.label not in labels:
             labels.append(arc.label)
-    if jobs and jobs > 1 and len(labels) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(relation_for_label, q, e, budget) for e in labels]
-            return {e: f.result() for e, f in zip(labels, futures)}
     return {e: relation_for_label(q, e, budget) for e in labels}
 
 
@@ -80,7 +74,6 @@ def n_hom(
     p: Rgp,
     q: Rgp,
     budget: SearchBudget | None = None,
-    jobs: int | None = None,
 ) -> NHomomorphism | None:
     """Find a navigational homomorphism from p to q, or None.
 
@@ -93,7 +86,7 @@ def n_hom(
         return NHomomorphism({}, {})
     if not q.vertices:
         return None
-    relations = label_relations(p, q, budget, jobs)
+    relations = label_relations(p, q, budget)
 
     domain = sorted(q.vertices)
     domains = {v: domain for v in p.vertices}
@@ -104,10 +97,8 @@ def n_hom(
     mapping = solve_csp(p.vertices, domains, constraints, budget)
     if mapping is None:
         return None
-    witnesses = {
-        i: relations[arc.label].witnesses[(mapping[arc.src], mapping[arc.dst])]
-        for i, arc in enumerate(p.arcs)
-    }
+    witnesses = witness_walks(
+        p, mapping, [relations[arc.label] for arc in p.arcs], budget)
     return NHomomorphism(mapping=mapping, witnesses=witnesses)
 
 

@@ -52,9 +52,6 @@ class Rgp:
                     f"arc {i} label uses symbols outside the alphabet: "
                     f"{sorted(extra)}")
 
-    def out_arcs(self, vertex: str) -> list[int]:
-        return [i for i, a in enumerate(self.arcs) if a.src == vertex]
-
 
 def make_rgp(
     alphabet: Iterable[str],

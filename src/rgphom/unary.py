@@ -44,7 +44,7 @@ from .rgp import (
     make_rgp,
     structural_predicates,
 )
-from .walks import relation_for_label
+from .walks import relation_for_label, witness_walks
 
 
 # ---------------------------------------------------------------------------
@@ -503,11 +503,7 @@ def easy_certificate(
     else:
         anchor = q.vertices[0]
         mapping = {v: anchor for v in p.vertices}
-    witnesses = {}
-    for i, arc in enumerate(p.arcs):
-        relation = relation_for_label(q, arc.label, budget)
-        witnesses[i] = relation.witnesses[(mapping[arc.src], mapping[arc.dst])]
-    return NHomomorphism(mapping=mapping, witnesses=witnesses)
+    return _attach_witnesses(p, q, mapping, budget)
 
 
 def _two_coloring(p: Rgp) -> dict[str, int]:
@@ -904,11 +900,9 @@ def solve_path_template_with_reason(
 
 
 def _attach_witnesses(p, q, mapping, budget) -> NHomomorphism:
-    witnesses = {}
-    for i, arc in enumerate(p.arcs):
-        relation = relation_for_label(q, arc.label, budget)
-        witnesses[i] = relation.witnesses[(mapping[arc.src], mapping[arc.dst])]
-    return NHomomorphism(mapping=dict(mapping), witnesses=witnesses)
+    relations = [relation_for_label(q, arc.label, budget) for arc in p.arcs]
+    return NHomomorphism(mapping=dict(mapping),
+                         witnesses=witness_walks(p, mapping, relations, budget))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from collections import deque
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
+from rgphom.automata import Dfa, Nfa, compile_nfa, determinize
 from rgphom.languages import concat_inclusion
 from rgphom.regexes import Concat, RegexAst, Star, Sym, Union
 from rgphom.rgp import Rgp
@@ -79,3 +80,62 @@ def walk_qualifies(q: Rgp, walk: Sequence[int], e: RegexAst) -> bool:
     """Whether every word readable along the walk matches e."""
     labels = [q.arcs[i].label for i in walk]
     return concat_inclusion(labels, e).holds
+
+
+def reference_label_images(dfa: Dfa, nfa: Nfa) -> list[frozenset[int]]:
+    """images[s] = every DFA state reachable from s by a word of L(nfa),
+    by one BFS over the product automaton per start state."""
+    result = []
+    for start in range(dfa.n_states):
+        seen = {(start, nfa.initial)}
+        queue = deque(seen)
+        image = set()
+        while queue:
+            d, b = queue.popleft()
+            if b in nfa.accepting:
+                image.add(d)
+            for ch, targets in nfa.trans[b].items():
+                d2 = dfa.step(d, ch)
+                for b2 in targets:
+                    if (d2, b2) not in seen:
+                        seen.add((d2, b2))
+                        queue.append((d2, b2))
+        result.append(frozenset(image))
+    return result
+
+
+def reference_relation(q: Rgp, e: RegexAst) -> dict[tuple[str, str], tuple[int, ...]]:
+    """Every pair joined by a walk matching e, with its first walk in BFS
+    order: one BFS per source over (frozenset of DFA states, vertex)
+    nodes, arcs tried in index order."""
+    dfa = determinize(compile_nfa(e), q.alphabet)
+    images = {}
+    out: dict[str, list[tuple[int, str, RegexAst]]] = {v: [] for v in q.vertices}
+    for i, arc in enumerate(q.arcs):
+        if arc.label not in images:
+            images[arc.label] = reference_label_images(dfa, compile_nfa(arc.label))
+        out[arc.src].append((i, arc.dst, arc.label))
+    relation = {}
+    for source in q.vertices:
+        start = (frozenset((dfa.initial,)), source)
+        parents = {}
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            node = queue.popleft()
+            states, vertex = node
+            if (node != start and (source, vertex) not in relation
+                    and states <= dfa.accepting):
+                walk = []
+                back = node
+                while back != start:
+                    back, arc_index = parents[back]
+                    walk.append(arc_index)
+                relation[(source, vertex)] = tuple(reversed(walk))
+            for arc_index, dst, label in out[vertex]:
+                nxt = (frozenset(t for s in states for t in images[label][s]), dst)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    parents[nxt] = (node, arc_index)
+                    queue.append(nxt)
+    return relation

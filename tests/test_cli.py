@@ -228,6 +228,17 @@ def test_budget_bounds_the_walk_engine_setup(runner):
     assert code == 3
 
 
+def test_budget_bounds_the_label_images_of_large_dfas(runner):
+    # about 2^12 DFA states: the label images tick once per product node,
+    # so the budget stops their construction early
+    save, run, _ = runner
+    e1 = "(a|b)*a" + "(a|b)" * 11
+    alpha = ("a", "b", "c")
+    body = gadget_ncore(parse_regex(e1, alpha), parse_regex(e1 + "|b*", alpha))
+    code, _ = run("core", save("p.json", body), "--budget", "100")
+    assert code == 3
+
+
 def test_budget_env_var(runner, monkeypatch):
     save, run, _ = runner
     p = save("p.json", random_rgp(0, 5, 6))

@@ -116,14 +116,6 @@ def test_plus_cycles_are_equivalent():
     assert n_hom_equivalent(plus_cycle(2), plus_cycle(3, "d"))
 
 
-def test_parallel_jobs_agree_with_serial():
-    p, q = two_label_pair()
-    assert n_hom(p, q, jobs=2) is None
-    h1 = n_hom(p, p)
-    h2 = n_hom(p, p, jobs=2)
-    assert h1 == h2
-
-
 def test_budget_exhaustion_raises():
     p = random_rgp(0, 5, 6)
     q = random_rgp(1, 5, 6)

@@ -1,17 +1,23 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
-from rgphom.errors import PreconditionError
+from rgphom.automata import compile_nfa
+from rgphom.errors import BudgetExceededError, PreconditionError, SearchBudget
+from rgphom import walks
 from rgphom.regexes import parse_regex
 from rgphom.rgp import make_rgp, walk_endpoints
 from rgphom.walks import (
-    clear_relation_cache, find_walk, relation_for_label, walk_length_bound,
+    TICK_BATCH, _bits, _Engine, clear_relation_cache, find_walk,
+    relation_for_label, walk_length_bound,
 )
 
-from helpers import all_walks, walk_qualifies
+from helpers import (
+    all_walks, reference_label_images, reference_relation, walk_qualifies,
+)
 
 
 def rx(text, alphabet="ab"):
@@ -120,3 +126,95 @@ def test_find_walk_sound_and_complete_at_desk_scale(seed):
                 # The engine found a qualifying walk longer than the
                 # enumeration horizon; that is consistent.
                 assert len(got) > horizon
+
+
+# Arc and pattern labels for the reference comparison: several are
+# multi-symbol, nullable or starred, so label images are not single steps.
+REFERENCE_LABELS = ["a", "b", "ab", "a|b", "a*", "b*", "a+", "b+a", "(ab)*",
+                    "(ab)+", "(a|b)*", "a*b", "a(ba)*b", "(a|b)*a(a|b)"]
+
+
+def _reference_instance(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    # Names out of index order, so that nothing leans on name order.
+    vertices = [f"v{i}" for i in range(n)]
+    rng.shuffle(vertices)
+    arcs = [(rng.choice(vertices), rng.choice(vertices),
+             rng.choice(REFERENCE_LABELS))
+            for _ in range(rng.randint(0, 2 * n + 2))]
+    return make_rgp("ab", vertices, arcs), rx(rng.choice(REFERENCE_LABELS))
+
+
+def test_engine_matches_the_per_source_reference_on_200_targets():
+    for seed in range(200):
+        q, e = _reference_instance(seed)
+        expected = reference_relation(q, e)
+        clear_relation_cache()
+        relation = relation_for_label(q, e)
+        assert relation.pairs == set(expected), seed
+        for (u, v), walk in expected.items():
+            assert relation.witness(u, v) == walk, (seed, u, v)
+        assert dict(relation.witnesses) == expected, seed
+        engine = _Engine(q, e, SearchBudget())
+        for u, v in product(q.vertices, repeat=2):
+            got = engine.walk(engine.index[u], engine.index[v], SearchBudget())
+            assert got == expected.get((u, v)), (seed, u, v)
+        for label, k in engine.label_ids.items():
+            images = [frozenset(_bits(mask)) for mask in engine.images[k]]
+            assert images == reference_label_images(
+                engine.dfa, compile_nfa(label)), (seed, label)
+
+
+def test_witnesses_view_is_read_only_and_keyed_by_pairs():
+    q = make_rgp("a", ["u", "v"], [("u", "v", "a")])
+    relation = relation_for_label(q, rx("a", "a"))
+    assert set(relation.witnesses) == {("u", "v")} == relation.pairs
+    assert len(relation.witnesses) == 1
+    assert ("v", "u") not in relation.witnesses
+    with pytest.raises(KeyError):
+        relation.witness("v", "u")
+    with pytest.raises(TypeError):
+        relation.witnesses[("u", "v")] = (0,)
+
+
+def _cycle(n, labels=("a|b",)):
+    """A directed cycle c0 -> c1 -> ... -> c0 with seeded arc labels."""
+    rng = random.Random(n)
+    names = [f"c{i}" for i in range(n)]
+    return make_rgp("ab", names, [(names[i], names[(i + 1) % n],
+                                   rng.choice(labels)) for i in range(n)])
+
+
+def test_tiny_budget_stops_the_relation_and_the_witness_search():
+    q, e = _cycle(30), rx("(a|b)+")
+    clear_relation_cache()
+    with pytest.raises(BudgetExceededError):
+        relation_for_label(q, e, SearchBudget(max_nodes=5))
+    relation = relation_for_label(q, e)
+    with pytest.raises(BudgetExceededError):
+        relation.witness("c0", "c29", SearchBudget(max_nodes=5))
+    walk = relation.witness("c0", "c29")
+    assert walk == tuple(range(29))
+    # A memoised witness costs nothing.
+    assert relation.witness("c0", "c29", SearchBudget(max_nodes=0)) == walk
+
+
+def test_batched_ticks_lose_no_node(monkeypatch):
+    # Far more than one batch of product nodes, and a remainder: batched
+    # ticks add up to exactly the ticks of one per node.
+    q, e = _cycle(60, ("a", "b")), rx("(a|b)*a(a|b)")
+
+    def ticks():
+        clear_relation_cache()
+        budget = SearchBudget()
+        relation = relation_for_label(q, e, budget)
+        for u, v in sorted(relation.pairs):
+            if u == "c0":
+                relation.witness(u, v, budget)
+        return budget.nodes
+
+    batched = ticks()
+    monkeypatch.setattr(walks, "TICK_BATCH", 1)
+    assert ticks() == batched
+    assert batched > 2 * TICK_BATCH and batched % TICK_BATCH
