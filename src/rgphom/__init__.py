@@ -59,6 +59,7 @@ from .rgp import (
     serialize_rgp,
     structural_predicates,
 )
+from .solver import solve
 from .testkit import (
     GadgetPair,
     OracleBudget,
@@ -93,7 +94,6 @@ from .unary import (
     prune_plus_arcs,
     reduce_to_hom,
     solve_path_template,
-    solve_path_template_with_reason,
     solve_scheduling,
     solve_undirected_easy,
     to_scheduling,

@@ -1,9 +1,12 @@
-"""Command-line front end.
+"""Command-line front end: parse the arguments, load the inputs, call
+the library, print the answer.
 
 One line of JSON on stdout per invocation; diagnostics go to stderr so
 scripts can parse the output blind.  The exit status already answers
 the question: 0 the property holds or a solution was found, 1 it fails
-or none exists, 2 the input was unusable, 3 a budget ran out.
+or none exists, 2 the input was unusable, 3 a budget ran out, 4 the
+program failed unexpectedly (one error line on stderr, nothing on
+stdout).
 """
 
 from __future__ import annotations
@@ -21,17 +24,12 @@ from .errors import (
     SearchBudget,
 )
 from .languages import language_inclusion, universality
-from .nhom import NHomomorphism, is_n_core, n_hom, verify_n_hom
+from .nhom import NHomomorphism, is_n_core, verify_n_hom
 from .regexes import parse_regex
-from .rgp import LabelKind, Rgp, directed_path_order, export_dot, label_class, parse_rgp, serialize_rgp
+from .rgp import Rgp, export_dot, parse_rgp, serialize_rgp
+from .solver import ROUTES, solve
 from .testkit import gadget_inclusion, gadget_ncore, gadget_universality
-from .unary import (
-    TemplateKind,
-    classify_undirected_template,
-    d_of_q,
-    easy_certificate,
-    solve_path_template,
-)
+from .unary import classify_undirected_template, d_of_q
 from .walks import find_walk
 
 ENV_BUDGET = "RGPHOM_BUDGET"
@@ -63,49 +61,13 @@ def _budget(args: argparse.Namespace) -> SearchBudget:
 
 
 # ---------------------------------------------------------------------------
-# Solver dispatch
-
-
-def _undirected_route(p: Rgp, q: Rgp,
-                      budget: SearchBudget) -> NHomomorphism | None:
-    template = classify_undirected_template(q, budget=budget)
-    if template.kind is TemplateKind.NP_COMPLETE:
-        raise PreconditionError(
-            "template is outside the polynomial classes")
-    return easy_certificate(template, p, q, budget)
-
-
-def _dispatch(p: Rgp, q: Rgp, solver: str,
-              budget: SearchBudget) -> tuple[NHomomorphism | None, str]:
-    if solver == "general":
-        return n_hom(p, q, budget), "general"
-    if solver == "path":
-        return solve_path_template(p, q, budget), "path"
-    if solver == "undirected":
-        return _undirected_route(p, q, budget), "undirected"
-    # auto: try the special-purpose solvers, fall back to the general one
-    if (label_class(q).kind is not LabelKind.GENERAL
-            and directed_path_order(q) is not None):
-        try:
-            return solve_path_template(p, q, budget), "path"
-        except PreconditionError:
-            pass
-    if label_class(q).kind is not LabelKind.GENERAL:
-        try:
-            return _undirected_route(p, q, budget), "undirected"
-        except PreconditionError:
-            pass
-    return n_hom(p, q, budget), "general"
-
-
-# ---------------------------------------------------------------------------
 # Subcommands
 
 
 def _cmd_nhom(args: argparse.Namespace) -> int:
     p = _load_rgp(args.pattern)
     q = _load_rgp(args.target)
-    cert, route = _dispatch(p, q, args.solver, _budget(args))
+    cert, route = solve(p, q, args.solver, _budget(args))
     if cert is None:
         _emit({"exists": False, "solver": route})
         return 1
@@ -247,7 +209,7 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("--certificate", default=None,
                    help="write the witness mapping to this file")
     s.add_argument("--solver", default="auto",
-                   choices=("auto", "general", "path", "undirected"))
+                   choices=ROUTES)
     _add_budget(s)
     s.set_defaults(func=_cmd_nhom)
 
@@ -304,8 +266,13 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
+# Built once per process: building costs far more than one parse, and
+# parse_args leaves the parser unchanged.
+_PARSER = _parser()
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (BudgetExceededError, CapExceededError) as exc:
@@ -314,6 +281,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Exit 1 means "no", so a crash must not surface as it.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -44,7 +44,7 @@ from .rgp import (
     make_rgp,
     structural_predicates,
 )
-from .walks import relation_for_label, witness_walks
+from .walks import _bits, relation_for_label, witness_walks
 
 
 # ---------------------------------------------------------------------------
@@ -217,26 +217,13 @@ def _a_edge_adjacency(q: Rgp) -> dict[str, set[str]]:
 def _edge_induced_a_components(q: Rgp) -> list[Rgp]:
     """Connected components of the a-edge subgraph, as standalone
     patterns; vertices touched by no 'a' edge belong to none."""
-    adj = _a_edge_adjacency(q)
-    loops = {arc.src for arc in q.arcs
-             if isinstance(arc.label, Sym) and arc.src == arc.dst}
-    seen: set[str] = set()
     components = []
-    for root in q.vertices:
-        if root in seen or (not adj[root] and root not in loops):
-            continue
-        stack, members = [root], {root}
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in members:
-                    members.add(w)
-                    stack.append(w)
-        seen |= members
-        vertices = [v for v in q.vertices if v in members]
+    for members in _vertex_a_components(q):
+        inside = set(members)
         arcs = [(a.src, a.dst, a.label) for a in q.arcs
-                if isinstance(a.label, Sym) and a.src in members and a.dst in members]
-        components.append(make_rgp(q.alphabet, vertices, arcs))
+                if isinstance(a.label, Sym) and a.src in inside]
+        if arcs:
+            components.append(make_rgp(q.alphabet, members, arcs))
     return components
 
 
@@ -424,28 +411,38 @@ def classify_undirected_template(
 def odd_a_cycle(q: Rgp) -> tuple[str, ...] | None:
     """A closed walk of odd length along 'a' edges, as its cyclic
     vertex sequence, or None when the a-subgraph is bipartite."""
+    return _two_coloring(q)[1]
+
+
+def _two_coloring(
+    q: Rgp,
+) -> tuple[dict[str, int] | None, tuple[str, ...] | None]:
+    """Breadth-first 2-coloring of q's a-subgraph, roots in q.vertices
+    order and neighbours in sorted order: (side of every vertex, None),
+    with a+-only vertices on side 0, or (None, an odd closed walk) when
+    the a-subgraph is not bipartite.  An 'a' loop is such a walk."""
     for arc in q.arcs:
         if isinstance(arc.label, Sym) and arc.src == arc.dst:
-            return (arc.src,)
+            return None, (arc.src,)
     adj = _a_edge_adjacency(q)
-    color: dict[str, int] = {}
+    side: dict[str, int] = {}
     parent: dict[str, str | None] = {}
     for root in q.vertices:
-        if root in color:
+        if root in side:
             continue
-        color[root] = 0
+        side[root] = 0
         parent[root] = None
         queue = deque([root])
         while queue:
             v = queue.popleft()
             for w in sorted(adj[v]):
-                if w not in color:
-                    color[w] = color[v] ^ 1
+                if w not in side:
+                    side[w] = side[v] ^ 1
                     parent[w] = v
                     queue.append(w)
-                elif color[w] == color[v]:
-                    return _close_walk(parent, v, w)
-    return None
+                elif side[w] == side[v]:
+                    return None, _close_walk(parent, v, w)
+    return side, None
 
 
 def _close_walk(parent, v, w) -> tuple[str, ...]:
@@ -477,12 +474,8 @@ def solve_undirected_easy(template: TemplateClass, p: Rgp) -> bool:
                 TemplateKind.POLY_SINGLE_EDGE_A_PLUS):
         return all(plussed for _, _, plussed in edges)
     if kind is TemplateKind.POLY_SINGLE_EDGE_A:
-        return _a_subgraph_bipartite(p)
+        return odd_a_cycle(p) is None
     raise PreconditionError(f"{kind.value} is not a polynomial class")
-
-
-def _a_subgraph_bipartite(p: Rgp) -> bool:
-    return odd_a_cycle(p) is None
 
 
 def easy_certificate(
@@ -498,31 +491,12 @@ def easy_certificate(
     kind = template.kind
     if kind is TemplateKind.POLY_SINGLE_EDGE_A:
         ends = sorted({v for arc in q.arcs for v in (arc.src, arc.dst)})
-        side = _two_coloring(p)
+        side, _ = _two_coloring(p)
         mapping = {v: ends[side[v]] for v in p.vertices}
     else:
         anchor = q.vertices[0]
         mapping = {v: anchor for v in p.vertices}
     return _attach_witnesses(p, q, mapping, budget)
-
-
-def _two_coloring(p: Rgp) -> dict[str, int]:
-    """A 2-coloring of p's (bipartite) a-subgraph; a+-only vertices
-    default to side 0."""
-    adj = _a_edge_adjacency(p)
-    side: dict[str, int] = {}
-    for root in p.vertices:
-        if root in side:
-            continue
-        side[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in sorted(adj[v]):
-                if w not in side:
-                    side[w] = side[v] ^ 1
-                    queue.append(w)
-    return side
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +515,7 @@ class CollapsedPattern:
 def _vertex_a_components(p: Rgp) -> list[list[str]]:
     """Components of the spanning a-edge subgraph, isolated vertices
     included, each listed in p.vertices order."""
-    adj = _a_edge_adjacency_directed(p)
+    adj = _a_edge_adjacency(p)
     seen: set[str] = set()
     components = []
     for root in p.vertices:
@@ -558,16 +532,6 @@ def _vertex_a_components(p: Rgp) -> list[list[str]]:
         seen |= members
         components.append([v for v in p.vertices if v in members])
     return components
-
-
-def _a_edge_adjacency_directed(p: Rgp) -> dict[str, set[str]]:
-    """Undirected adjacency over the directed single-symbol arcs."""
-    adj: dict[str, set[str]] = {v: set() for v in p.vertices}
-    for arc in p.arcs:
-        if isinstance(arc.label, Sym):
-            adj[arc.src].add(arc.dst)
-            adj[arc.dst].add(arc.src)
-    return adj
 
 
 def collapse_levels(p: Rgp) -> CollapsedPattern:
@@ -657,6 +621,20 @@ def _component_paths(p: Rgp) -> list[list[str]]:
     return paths
 
 
+def _path_positions(
+    paths: list[list[str]],
+) -> tuple[dict[str, int], dict[str, int]]:
+    """Each vertex's component index and 1-based position along its
+    path."""
+    comp_of: dict[str, int] = {}
+    pos: dict[str, int] = {}
+    for c, path in enumerate(paths):
+        for k, v in enumerate(path, start=1):
+            comp_of[v] = c
+            pos[v] = k
+    return comp_of, pos
+
+
 def prune_plus_arcs(p_prime: "Rgp | CollapsedPattern") -> Rgp | None:
     """Second simplification: between each ordered pair of a-path
     components keep only the dominant a+ arc, the one maximizing
@@ -666,13 +644,7 @@ def prune_plus_arcs(p_prime: "Rgp | CollapsedPattern") -> Rgp | None:
     """
     p = p_prime.rgp if isinstance(p_prime, CollapsedPattern) else p_prime
     _require_unary(p, "pattern")
-    paths = _component_paths(p)
-    comp_of: dict[str, int] = {}
-    pos: dict[str, int] = {}
-    for c, path in enumerate(paths):
-        for k, v in enumerate(path, start=1):
-            comp_of[v] = c
-            pos[v] = k
+    comp_of, pos = _path_positions(_component_paths(p))
 
     best: dict[tuple[int, int], tuple[int, int]] = {}
     kept_a: list[int] = []
@@ -739,12 +711,7 @@ def to_scheduling(p2: Rgp, n: int) -> SchedulingInstance:
     if n < 1:
         raise PreconditionError("target path needs at least one vertex")
     paths = _component_paths(p2)
-    comp_of: dict[str, int] = {}
-    pos: dict[str, int] = {}
-    for c, path in enumerate(paths):
-        for k, v in enumerate(path, start=1):
-            comp_of[v] = c
-            pos[v] = k
+    comp_of, pos = _path_positions(paths)
     jobs = tuple(path[0] for path in paths)
     durations = {path[0]: len(path) - 1 for path in paths}
     tightest: dict[tuple[int, int], int] = {}
@@ -847,16 +814,6 @@ def solve_path_template(
     reduction and path-consistency. Witness walks come from the walk
     relation in either case.
     """
-    cert, _ = solve_path_template_with_reason(p, q, budget)
-    return cert
-
-
-def solve_path_template_with_reason(
-    p: Rgp,
-    q: Rgp,
-    budget: SearchBudget | None = None,
-) -> tuple[NHomomorphism | None, str | None]:
-    """solve_path_template plus a short diagnostic for the NO answers."""
     order = directed_path_order(q)
     if order is None:
         raise PreconditionError("target is not a directed path")
@@ -865,30 +822,27 @@ def solve_path_template_with_reason(
     if sp is not None and sq is not None and sp != sq:
         raise PreconditionError(f"mismatched symbols {sp!r} vs {sq!r}")
     if not p.vertices:
-        return NHomomorphism({}, {}), None
+        return NHomomorphism({}, {})
     if not q.vertices:
-        return None, "empty target"
+        return None
 
     if label_class(q).kind is LabelKind.UNARY_A_APLUS:
         pattern, template = reduce_to_hom(p, q)
         mapping = path_consistency_solve(pattern, template, budget)
         if mapping is None:
-            return None, "no mapping survives path consistency"
-        return _attach_witnesses(p, q, mapping, budget), None
+            return None
+        return _attach_witnesses(p, q, mapping, budget)
 
     try:
         collapsed = collapse_levels(p)
-    except NotAcyclicError as exc:
-        return None, str(exc)
-    except NotBalancedError as exc:
-        return None, str(exc)
+    except (NotAcyclicError, NotBalancedError):
+        return None
     pruned = prune_plus_arcs(collapsed)
     if pruned is None:
-        return None, "conflicting a+ order constraints inside a component"
-    inst = to_scheduling(pruned, len(q.vertices))
-    result = solve_scheduling(inst)
+        return None
+    result = solve_scheduling(to_scheduling(pruned, len(q.vertices)))
     if not result.feasible:
-        return None, "scheduling infeasible"
+        return None
     paths = _component_paths(pruned)
     index: dict[str, int] = {}
     for path in paths:
@@ -896,7 +850,7 @@ def solve_path_template_with_reason(
         for k, v in enumerate(path, start=1):
             index[v] = start + k - 1
     mapping = {v: order[index[collapsed.vertex_map[v]]] for v in p.vertices}
-    return _attach_witnesses(p, q, mapping, budget), None
+    return _attach_witnesses(p, q, mapping, budget)
 
 
 def _attach_witnesses(p, q, mapping, budget) -> NHomomorphism:
@@ -994,14 +948,6 @@ def path_consistency_solve(
     if not net.close(budget):
         return None
     return net.first_solution()
-
-
-def _bits(mask: int) -> Iterable[int]:
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _transpose(rows: Sequence[int]) -> list[int]:

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rgphom
 from rgphom.cli import ENV_BUDGET, main
 from rgphom.regexes import parse_regex
 from rgphom.rgp import Rgp, make_rgp, serialize_rgp
@@ -271,3 +276,44 @@ def test_unusable_inputs_exit_two(runner, tmp_path):
     assert code == 2
     code, _ = run("include", "a((", "a", "--alphabet", "a")
     assert code == 2
+
+
+def test_back_to_back_runs_share_no_state(runner):
+    save, run, _ = runner
+    p = save("p.json", a_path(2, prefix="p"))
+    q = save("q.json", a_path(3))
+    code, out = run("nhom", p, q, "--solver", "general")
+    assert code == 0 and as_doc(out)["solver"] == "general"
+    code, out = run("nhom", p, q)
+    assert code == 0 and as_doc(out)["solver"] == "path"
+    g1 = save("g1.json", random_rgp(0, 5, 6))
+    g2 = save("g2.json", random_rgp(1, 5, 6))
+    code, _ = run("nhom", g1, g2, "--solver", "general", "--budget", "1")
+    assert code == 3
+    code, out = run("nhom", g1, g2, "--solver", "general")
+    assert code in (0, 1) and "exists" in as_doc(out)
+
+
+# Labels deep enough to overflow the recursive regex walks.
+DEEP_LABELS = ("(" * 3000 + "a" + ")" * 3000, "a" * 5000)
+
+
+@pytest.mark.parametrize("label", DEEP_LABELS, ids=("nested", "long"))
+def test_unexpected_failures_exit_four(capsys, label):
+    code = main(["include", label, "a", "--alphabet", "a"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_unexpected_failures_leave_no_traceback():
+    src = str(Path(rgphom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "rgphom.cli", "include", DEEP_LABELS[0], "a",
+         "--alphabet", "a"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 4 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ")
