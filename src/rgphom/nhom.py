@@ -87,18 +87,18 @@ def n_hom(
     if not q.vertices:
         return None
     relations = label_relations(p, q, budget)
+    arc_relations = [relations[arc.label] for arc in p.arcs]
 
+    # Every domain is all of q, so the CSP's values are the relations'
+    # names, and each relation goes in as the Rows it is.
     domain = sorted(q.vertices)
     domains = {v: domain for v in p.vertices}
-    constraints = [
-        Constraint(arc.src, arc.dst, relations[arc.label].pairs)
-        for arc in p.arcs
-    ]
+    constraints = [Constraint(arc.src, arc.dst, relation)
+                   for arc, relation in zip(p.arcs, arc_relations)]
     mapping = solve_csp(p.vertices, domains, constraints, budget)
     if mapping is None:
         return None
-    witnesses = witness_walks(
-        p, mapping, [relations[arc.label] for arc in p.arcs], budget)
+    witnesses = witness_walks(p, mapping, arc_relations, budget)
     return NHomomorphism(mapping=mapping, witnesses=witnesses)
 
 
@@ -107,8 +107,14 @@ def verify_n_hom(p: Rgp, q: Rgp, h: NHomomorphism) -> bool:
 
     The map must be total from V(p) to V(q), and each pattern arc's
     witness must be a nonempty walk in q with matching endpoints whose
-    label concatenation is contained in the arc's label language.
+    label concatenation is contained in the arc's label language. A
+    certificate with a map key outside V(p) or a witness index outside
+    the pattern's arc indices is rejected.
     """
+    if not set(h.mapping) <= set(p.vertices):
+        return False
+    if not set(h.witnesses) <= set(range(len(p.arcs))):
+        return False
     for v in p.vertices:
         if h.mapping.get(v) not in q.vertices:
             return False

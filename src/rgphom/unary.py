@@ -27,7 +27,8 @@ from collections import Counter, deque
 from enum import Enum
 from typing import Any, Iterable, Mapping, Sequence
 
-from .csp import Constraint, iter_csp_solutions, solve_csp
+from .csp import (Constraint, _bits, _transpose, iter_csp_solutions,
+                  pair_rows, solve_csp)
 from .errors import (
     NotAcyclicError,
     NotBalancedError,
@@ -44,7 +45,7 @@ from .rgp import (
     make_rgp,
     structural_predicates,
 )
-from .walks import _bits, relation_for_label, witness_walks
+from .walks import relation_for_label, witness_walks
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +179,10 @@ def hom_two_labeled(
         return None
     domain = sorted(h.vertices)
     domains = {v: domain for v in g.vertices}
-    constraints = [Constraint(u, v, h.a_arcs) for u, v in sorted(g.a_arcs)]
-    constraints += [Constraint(u, v, h.t_arcs) for u, v in sorted(g.t_arcs)]
+    a_rows = pair_rows(h.a_arcs, domain)
+    t_rows = pair_rows(h.t_arcs, domain)
+    constraints = [Constraint(u, v, a_rows) for u, v in sorted(g.a_arcs)]
+    constraints += [Constraint(u, v, t_rows) for u, v in sorted(g.t_arcs)]
     return solve_csp(g.vertices, domains, constraints, budget)
 
 
@@ -344,8 +347,8 @@ def _non_bijective_endo(
     domain = sorted(comp.vertices)
     pins = set(fixed)
     domains = {v: [v] if v in pins else domain for v in comp.vertices}
-    pairs = frozenset((a.src, a.dst) for a in comp.arcs)
-    constraints = [Constraint(a.src, a.dst, pairs) for a in comp.arcs]
+    rows = pair_rows(((a.src, a.dst) for a in comp.arcs), domain)
+    constraints = [Constraint(a.src, a.dst, rows) for a in comp.arcs]
     for f in iter_csp_solutions(comp.vertices, domains, constraints, budget):
         if len(set(f.values())) != len(comp.vertices):
             return f
@@ -950,16 +953,6 @@ def path_consistency_solve(
     return net.first_solution()
 
 
-def _transpose(rows: Sequence[int]) -> list[int]:
-    """The rows of a square bit matrix, turned into its columns."""
-    cols = [0] * len(rows)
-    for u, row in enumerate(rows):
-        bit = 1 << u
-        for w in _bits(row):
-            cols[w] |= bit
-    return cols
-
-
 class _PcNetwork:
     """Domains and pairwise relations over bit-indexed template values.
 
@@ -976,7 +969,6 @@ class _PcNetwork:
     def __init__(self, g: TwoLabeledDigraph, h: TwoLabeledDigraph):
         self.values = sorted(h.vertices)
         d = len(self.values)
-        index = {v: i for i, v in enumerate(self.values)}
         self.names = g.vertices
         n = len(self.names)
         var = {v: i for i, v in enumerate(self.names)}
@@ -986,17 +978,12 @@ class _PcNetwork:
             [[full] * d for _ in range(n)] for _ in range(n)]
         self.loose = [[True] * n for _ in range(n)]
         for g_arcs, h_arcs in ((g.a_arcs, h.a_arcs), (g.t_arcs, h.t_arcs)):
-            rows = [0] * d
-            loops = 0
-            for u, w in h_arcs:
-                rows[index[u]] |= 1 << index[w]
-                if u == w:
-                    loops |= 1 << index[u]
-            cols = _transpose(rows)
+            masks = pair_rows(h_arcs, self.values)
+            rows, cols = masks.rows, masks.cols
             for x, y in g_arcs:
                 i, j = var[x], var[y]
                 if i == j:
-                    self.dom[i] &= loops
+                    self.dom[i] &= masks.loops
                     continue
                 for u in range(d):
                     self.rel[i][j][u] &= rows[u]

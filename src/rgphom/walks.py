@@ -26,7 +26,9 @@ S * |V| + v.
   nonempty walks count, and a worklist forwards newly arrived source
   bits through the product graph until nothing changes. rows[v], the
   OR of the masks at the nodes (S, v) whose S is all-accepting, holds
-  every source joined to v.
+  every source joined to v. relation_for_label renumbers these by
+  vertex name into the relation's column masks, and fills the row
+  masks in the same pass, so the CSP takes the relation as it is.
 - Witnesses on demand. WalkRelation.witness(u, v) runs a BFS from u
   that stops at v, which gives a shortest walk with ties broken by arc
   index, and memoises it; only the arcs of a final map need one.
@@ -36,24 +38,18 @@ Every pass ticks the budget once per product node, in batches.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import (Callable, Iterable, Iterator, Mapping, Sequence,
+                             Set)
 from dataclasses import dataclass, field
 
 from .automata import Nfa, compile_nfa, determinize
+from .csp import Rows, _bits
 from .errors import PreconditionError, SearchBudget
 from .regexes import RegexAst
 from .rgp import Rgp
 
 # Budget ticks are taken this many product nodes at a time.
 TICK_BATCH = 256
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _flood(seeds: dict[int, int], successors: Callable[[int], Iterable[int]],
@@ -261,8 +257,14 @@ class _Engine:
 
 
 @dataclass(frozen=True)
-class WalkRelation:
+class WalkRelation(Rows):
     """All vertex pairs of a target joinable by a walk matching a label.
+
+    names is the target's vertices in sorted-name order, and the
+    relation is the Rows of the joinable pairs over it: bit j of rows[i]
+    is set when (names[i], names[j]) is joinable, and cols is the
+    transpose. The CSP takes it as it is; pairs is a read-only set view
+    of the same pairs.
 
     witness(u, v) gives one shortest witness walk per pair (ties broken
     by arc index), found on first request and memoised; witnesses is a
@@ -271,15 +273,26 @@ class WalkRelation:
 
     label: RegexAst
     target: Rgp
-    pairs: frozenset[tuple[str, str]]
+    names: tuple[str, ...]
     dfa_states: int
     _engine: _Engine = field(repr=False, compare=False)
+    _position: dict[str, int] = field(repr=False, compare=False)
     _walks: dict[tuple[str, str], tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     @property
+    def pairs(self) -> Set[tuple[str, str]]:
+        return _Pairs(self)
+
+    @property
     def witnesses(self) -> Mapping[tuple[str, str], tuple[int, ...]]:
         return _Witnesses(self)
+
+    def holds(self, u: str, v: str) -> bool:
+        """Whether (u, v) is a pair of the relation."""
+        i = self._position.get(u)
+        j = self._position.get(v)
+        return i is not None and j is not None and bool(self.rows[i] >> j & 1)
 
     def witness(self, u: str, v: str,
                 budget: SearchBudget | None = None) -> tuple[int, ...]:
@@ -288,13 +301,36 @@ class WalkRelation:
         pair = (u, v)
         walk = self._walks.get(pair)
         if walk is None:
-            if pair not in self.pairs:
+            if not self.holds(u, v):
                 raise KeyError(pair)
             index = self._engine.index
             walk = self._engine.walk(index[u], index[v],
                                      budget or SearchBudget())
             self._walks[pair] = walk
         return walk
+
+
+def _is_pair(item: object) -> bool:
+    return isinstance(item, tuple) and len(item) == 2
+
+
+class _Pairs(Set):
+    """WalkRelation.pairs: the pairs, read off the row masks."""
+
+    def __init__(self, relation: WalkRelation):
+        self._relation = relation
+
+    def __contains__(self, pair: object) -> bool:
+        return _is_pair(pair) and self._relation.holds(*pair)
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        names = self._relation.names
+        for i, row in enumerate(self._relation.rows):
+            for j in _bits(row):
+                yield names[i], names[j]
+
+    def __len__(self) -> int:
+        return sum(row.bit_count() for row in self._relation.rows)
 
 
 class _Witnesses(Mapping):
@@ -305,7 +341,7 @@ class _Witnesses(Mapping):
         self._relation = relation
 
     def __getitem__(self, pair: tuple[str, str]) -> tuple[int, ...]:
-        if pair not in self._relation.pairs:
+        if not _is_pair(pair):
             raise KeyError(pair)
         return self._relation.witness(*pair)
 
@@ -358,13 +394,25 @@ def relation_for_label(
         return cached
     use_budget = budget or SearchBudget()
     engine = _Engine(q, e, use_budget)
-    names = q.vertices
-    pairs: list[tuple[str, str]] = []
-    for v, row in enumerate(engine.rows(use_budget)):
-        name = names[v]
-        pairs.extend((names[u], name) for u in _bits(row))
-    relation = WalkRelation(label=e, target=q, pairs=frozenset(pairs),
-                            dfa_states=engine.dfa.n_states, _engine=engine)
+    names = tuple(sorted(q.vertices))
+    position = {v: i for i, v in enumerate(names)}
+    # The engine numbers vertices in q.vertices order, and its rows[v]
+    # holds the sources joined to v: renumbered by name, those are the
+    # columns. One pass over the pairs fills the rows as well.
+    renumber = [position[v] for v in q.vertices]
+    rows = [0] * len(names)
+    cols = [0] * len(names)
+    for v, sources in enumerate(engine.rows(use_budget)):
+        j = renumber[v]
+        bit = 1 << j
+        for u in _bits(sources):
+            i = renumber[u]
+            cols[j] |= 1 << i
+            rows[i] |= bit
+    relation = WalkRelation(label=e, target=q, names=names,
+                            rows=tuple(rows), cols=tuple(cols),
+                            dfa_states=engine.dfa.n_states, _engine=engine,
+                            _position=position)
     _relation_cache[key] = relation
     return relation
 

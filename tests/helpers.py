@@ -2,6 +2,8 @@
 
 Everything here evaluates regex semantics directly on the AST, without
 NFAs or DFAs, so agreement with the library is meaningful evidence.
+reference_csp is the plain value-list AC-3 and backtracking that the
+bitset constraint search is compared against; it shares no code with it.
 """
 
 from __future__ import annotations
@@ -139,3 +141,69 @@ def reference_relation(q: Rgp, e: RegexAst) -> dict[tuple[str, str], tuple[int, 
                     parents[nxt] = (node, arc_index)
                     queue.append(nxt)
     return relation
+
+
+def reference_csp(variables: Sequence[str],
+                  domains: dict[str, Sequence],
+                  constraints: Sequence[tuple[str, str, frozenset]]) -> Iterator[dict]:
+    """Every solution of a binary constraint network, in the order the
+    solver promises, by plain AC-3 and backtracking over value lists.
+
+    constraints holds (x, y, allowed pairs) triples. Arc consistency
+    runs after every assignment, the variable with the fewest values
+    goes first (ties by variable order), and values are tried in sorted
+    order. Each ordered pair of every constraint is revised on its own,
+    with no bit masks and no merging of mirrored constraints.
+    """
+    order = {v: i for i, v in enumerate(variables)}
+    work = {v: list(dict.fromkeys(domains[v])) for v in variables}
+    incident: dict[str, list[tuple[str, str, frozenset]]] = {
+        v: [] for v in variables}
+    for c in constraints:
+        x, y, allowed = c
+        if x == y:
+            work[x] = [a for a in work[x] if (a, a) in allowed]
+        else:
+            incident[x].append(c)
+            incident[y].append(c)
+
+    def revise(c, target) -> bool:
+        x, y, allowed = c
+        if target == x:
+            keep = [a for a in work[x] if any((a, b) in allowed for b in work[y])]
+        else:
+            keep = [b for b in work[y] if any((a, b) in allowed for a in work[x])]
+        changed = len(keep) != len(work[target])
+        work[target] = keep
+        return changed
+
+    def propagate(dirty) -> bool:
+        queue = deque((c, end) for v in dirty for c in incident[v]
+                      for end in c[:2] if end != v)
+        while queue:
+            c, target = queue.popleft()
+            if revise(c, target):
+                if not work[target]:
+                    return False
+                for c2 in incident[target]:
+                    neighbor = c2[1] if c2[0] == target else c2[0]
+                    queue.append((c2, neighbor))
+        return True
+
+    def search(assignment: dict) -> Iterator[dict]:
+        if len(assignment) == len(variables):
+            yield dict(assignment)
+            return
+        free = [v for v in variables if v not in assignment]
+        var = min(free, key=lambda v: (len(work[v]), order[v]))
+        for value in sorted(work[var]):
+            saved = {v: list(work[v]) for v in free}
+            work[var] = [value]
+            assignment[var] = value
+            if propagate([var]):
+                yield from search(assignment)
+            del assignment[var]
+            work.update(saved)
+
+    if propagate(list(variables)):
+        yield from search({})

@@ -84,6 +84,23 @@ def test_verify_rejects_a_tampered_certificate(runner):
     assert code == 1 and as_doc(out) == {"valid": False}
 
 
+@pytest.mark.parametrize("extra", ["map key", "arc index"])
+def test_verify_rejects_a_certificate_with_extra_keys(runner, extra):
+    save, run, tmp_path = runner
+    p = a_path(3)
+    path = save("p.json", p)
+    cert = tmp_path / "cert.json"
+    run("nhom", path, path, "--certificate", str(cert))
+    doc = json.loads(cert.read_text())
+    if extra == "map key":
+        doc["map"]["elsewhere"] = "q0"
+    else:
+        doc["witnesses"][str(len(p.arcs))] = doc["witnesses"]["0"]
+    cert.write_text(json.dumps(doc))
+    code, out = run("verify", path, path, str(cert))
+    assert code == 1 and as_doc(out) == {"valid": False}
+
+
 def test_auto_routes_paths_to_the_scheduling_solver(runner):
     save, run, _ = runner
     p = save("p.json", a_path(2, prefix="p"))

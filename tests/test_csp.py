@@ -1,11 +1,17 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
-from rgphom.csp import Constraint, iter_csp_solutions, solve_csp
+from rgphom.csp import Constraint, iter_csp_solutions, pair_rows, solve_csp
 from rgphom.errors import BudgetExceededError, SearchBudget
+from rgphom.nhom import label_relations, n_hom, verify_n_hom
+from rgphom.rgp import Rgp, make_rgp
+from rgphom.walks import witness_walks
+
+from helpers import reference_csp
 
 
 def edge(x, y, pairs):
@@ -100,3 +106,106 @@ def test_propagation_alone_solves_chains():
     domains = {v: list("01") for v in "abc"}
     assert solve_csp("abc", domains, cs, SearchBudget()) == \
         {"a": "0", "b": "1", "c": "0"}
+
+
+def test_arc_consistency_alone_ticks_the_budget():
+    # The forced chain above needs no search at all.
+    cs = [edge("a", "b", [("0", "1")]), edge("b", "c", [("1", "0")])]
+    domains = {v: list("01") for v in "abc"}
+    with pytest.raises(BudgetExceededError):
+        solve_csp("abc", domains, cs, SearchBudget(max_nodes=1))
+
+
+def random_network(rng: random.Random):
+    """Variables named out of sorted order, domains with duplicates,
+    pinned or empty, loops, pairs with values outside every domain, and
+    antiparallel constraints that are, or are not, transposes."""
+    variables = [f"v{i}" for i in rng.sample(range(12), rng.randint(1, 6))]
+    pool = list("dcba")
+    domains = {}
+    for v in variables:
+        roll = rng.random()
+        if roll < 0.15:
+            domains[v] = [rng.choice(pool)]
+        elif roll < 0.18:
+            domains[v] = []
+        else:
+            domains[v] = [rng.choice(pool) for _ in range(rng.randint(2, 6))]
+    values = pool + ["e", "f"]
+
+    def relation():
+        density = rng.uniform(0.5, 0.95)
+        return frozenset((a, b) for a in values for b in values
+                         if rng.random() < density)
+
+    constraints = []
+    for _ in range(rng.randint(0, 8)):
+        x, y = rng.choice(variables), rng.choice(variables)
+        pairs = relation()
+        constraints.append((x, y, pairs))
+        roll = rng.random()
+        if roll < 0.3:
+            constraints.append((y, x, frozenset((b, a) for a, b in pairs)))
+        elif roll < 0.6:
+            constraints.append((y, x, relation()))
+        elif roll < 0.7:
+            constraints.append((x, y, pairs))
+    return variables, domains, constraints
+
+
+@pytest.mark.parametrize("as_rows", [False, True])
+def test_matches_the_reference_solver_in_order(as_rows):
+    rng = random.Random(7 + as_rows)
+    seen_solutions = 0
+    for _ in range(400):
+        variables, domains, triples = random_network(rng)
+        values = sorted({a for v in variables for a in domains[v]})
+        cs = [Constraint(x, y, pair_rows(pairs, values) if as_rows else pairs)
+              for x, y, pairs in triples]
+        got = [list(s.items()) for s in
+               iter_csp_solutions(variables, domains, cs, SearchBudget())]
+        want = [list(s.items()) for s in
+                reference_csp(variables, domains, triples)]
+        assert got == want, (variables, domains, triples)
+        seen_solutions += len(got)
+    assert seen_solutions > 1000
+
+
+def planted_coloring(rng: random.Random, n: int, m: int) -> Rgp:
+    """An undirected all-'a' graph on n shuffled vertices with m edges,
+    properly 3-coloured by a hidden colouring when m is small enough."""
+    names = [f"g{i}" for i in range(n)]
+    colour = {v: rng.randrange(3) for v in names}
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.sample(names, 2)
+        if colour[u] != colour[v] or rng.random() < 0.02:
+            edges.add((u, v))
+    rng.shuffle(names)
+    arcs = [arc for u, v in sorted(edges) for arc in ((u, v, "a"), (v, u, "a"))]
+    return make_rgp("a", names, arcs)
+
+
+def test_merged_mirrored_constraints_keep_certificates():
+    k3 = make_rgp("a", ["k2", "k0", "k1"],
+                  [(f"k{i}", f"k{j}", "a") for i in range(3) for j in range(3)
+                   if i != j])
+    rng = random.Random(3)
+    found = 0
+    for n, m in [(8, 10), (10, 14), (12, 18), (14, 22), (16, 30), (18, 40)]:
+        p = planted_coloring(rng, n, m)
+        h = n_hom(p, k3)
+        relations = label_relations(p, k3)
+        arc_relations = [relations[arc.label] for arc in p.arcs]
+        triples = [(arc.src, arc.dst, frozenset(rel.pairs))
+                   for arc, rel in zip(p.arcs, arc_relations)]
+        domains = {v: sorted(k3.vertices) for v in p.vertices}
+        want = next(reference_csp(p.vertices, domains, triples), None)
+        if want is None:
+            assert h is None
+            continue
+        found += 1
+        assert list(h.mapping.items()) == list(want.items())
+        assert h.witnesses == witness_walks(p, want, arc_relations)
+        assert verify_n_hom(p, k3, h)
+    assert found >= 3

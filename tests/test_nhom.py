@@ -102,6 +102,33 @@ def test_verify_rejects_empty_witness_walk():
     assert not verify_n_hom(p, q, broken)
 
 
+@pytest.mark.parametrize("extra", ["map key", "arc index", "negative index"])
+def test_verify_rejects_extra_keys(extra):
+    p = make_rgp("a", ["x", "y"], [("x", "y", "a+")])
+    q = make_rgp("a", ["u", "m", "v"], [("u", "m", "a"), ("m", "v", "a")])
+    h = n_hom(p, q)
+    assert verify_n_hom(p, q, h)
+    mapping, witnesses = dict(h.mapping), dict(h.witnesses)
+    if extra == "map key":
+        mapping["z"] = "u"
+    else:
+        witnesses[1 if extra == "arc index" else -1] = witnesses[0]
+    assert not verify_n_hom(p, q, NHomomorphism(mapping, witnesses))
+
+
+def test_certificates_carry_exactly_the_pattern_keys():
+    p = make_rgp("a", ["x", "y"], [("x", "y", "a+")])
+    q = make_rgp("a", ["u", "m", "v"], [("u", "m", "a"), ("m", "v", "a")])
+    r = make_rgp("a", ["s"], [("s", "s", "a")])
+    g = glued_cycles()
+    verdict = is_n_core(g)
+    for pattern, h in [(p, n_hom(p, q)),
+                       (p, compose_n_hom(n_hom(p, q), n_hom(q, r))),
+                       (g, verdict.retraction)]:
+        assert list(h.mapping) == list(pattern.vertices)
+        assert sorted(h.witnesses) == list(range(len(pattern.arcs)))
+
+
 def test_composition_verifies():
     p = make_rgp("a", ["x", "y"], [("x", "y", "a+")])
     q = make_rgp("a", ["u", "m", "v"], [("u", "m", "a"), ("m", "v", "a")])
