@@ -6,12 +6,21 @@ before the automaton is returned. The resulting state count is at most
 twice the AST node count. DFAs come from the reachable-subset
 construction and are total over their declared alphabet, with the empty
 subset acting as an explicit sink when it is reachable.
+
+Sets of NFA states are int bitmasks: bit q stands for state q. A subset
+is stepped on a symbol by OR-ing the successor masks of its states
+(_successor_masks, _step), the one subset kernel that determinize and
+the on-the-fly inclusion search in languages both use. determinize
+numbers DFA states in breadth-first discovery order, symbols taken in
+sorted order, and ticks the search budget once per subset state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
+from .errors import TICK_BATCH, SearchBudget
 from .regexes import Concat, RegexAst, Star, Sym, Union
 
 
@@ -148,28 +157,54 @@ def nfa_accepts(nfa: Nfa, word: str) -> bool:
     return bool(current & nfa.accepting)
 
 
-def determinize(nfa: Nfa, alphabet: tuple[str, ...] | None = None) -> Dfa:
+def _successor_masks(nfa: Nfa, alphabet: Iterable[str]) -> dict[str, list[int]]:
+    """masks[ch][q] = bitmask of the states that q reaches on ch."""
+    return {ch: [sum(1 << t for t in nfa.successors(q, ch))
+                 for q in range(nfa.n_states)]
+            for ch in alphabet}
+
+
+def _step(subset: int, masks: list[int]) -> int:
+    """The successors of a subset on one symbol, masks being that
+    symbol's entry of _successor_masks."""
+    out = 0
+    while subset:
+        low = subset & -subset
+        out |= masks[low.bit_length() - 1]
+        subset ^= low
+    return out
+
+
+def determinize(nfa: Nfa, alphabet: tuple[str, ...] | None = None,
+                budget: SearchBudget | None = None) -> Dfa:
     """Reachable-subset DFA, total over the union of the given alphabet
     and the NFA's own symbols."""
+    budget = budget or SearchBudget()
     alpha = tuple(sorted(set(nfa.alphabet) | set(alphabet or ())))
-    start = frozenset((nfa.initial,))
-    order: list[frozenset[int]] = [start]
-    index: dict[frozenset[int], int] = {start: 0}
+    masks = _successor_masks(nfa, alpha)
+    start = 1 << nfa.initial
+    order: list[int] = [start]
+    index: dict[int, int] = {start: 0}
     delta: list[dict[str, int]] = []
     pos = 0
     while pos < len(order):
         subset = order[pos]
         pos += 1
+        if not pos % TICK_BATCH:
+            budget.tick(TICK_BATCH)
         row: dict[str, int] = {}
         for ch in alpha:
-            nxt = frozenset(t for q in subset for t in nfa.successors(q, ch))
-            if nxt not in index:
-                index[nxt] = len(order)
+            nxt = _step(subset, masks[ch])
+            state = index.get(nxt)
+            if state is None:
+                state = index[nxt] = len(order)
                 order.append(nxt)
-            row[ch] = index[nxt]
+            row[ch] = state
         delta.append(row)
+    budget.tick(pos % TICK_BATCH)
+    accept = sum(1 << q for q in nfa.accepting)
     accepting = frozenset(
-        i for i, subset in enumerate(order) if subset & nfa.accepting)
+        i for i, subset in enumerate(order) if subset & accept)
     return Dfa(
         n_states=len(order),
         initial=0,

@@ -96,7 +96,7 @@ def _cmd_core(args: argparse.Namespace) -> int:
 def _cmd_include(args: argparse.Namespace) -> int:
     alpha = tuple(args.alphabet)
     report = language_inclusion(parse_regex(args.e1, alpha),
-                                parse_regex(args.e2, alpha))
+                                parse_regex(args.e2, alpha), _budget(args))
     if report.holds:
         _emit({"holds": True})
         return 0
@@ -106,7 +106,8 @@ def _cmd_include(args: argparse.Namespace) -> int:
 
 def _cmd_universal(args: argparse.Namespace) -> int:
     alpha = tuple(args.alphabet)
-    report = universality(parse_regex(args.expr, alpha), alpha)
+    report = universality(parse_regex(args.expr, alpha), alpha,
+                          _budget(args))
     if report.holds:
         _emit({"holds": True})
         return 0
@@ -222,11 +223,13 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("e1")
     s.add_argument("e2")
     s.add_argument("--alphabet", required=True)
+    _add_budget(s)
     s.set_defaults(func=_cmd_include)
 
     s = subs.add_parser("universal", help="decide L(E) = all words")
     s.add_argument("expr")
     s.add_argument("--alphabet", required=True)
+    _add_budget(s)
     s.set_defaults(func=_cmd_universal)
 
     s = subs.add_parser("dq", help="two-labeled digraph of an {a,a+} target")

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import time
 
+# Loops tick their budget this many nodes at a time, plus the remainder
+# when they end.
+TICK_BATCH = 256
+
 
 class RegexParseError(ValueError):
     """Raised when a regular expression string cannot be parsed."""

@@ -1,20 +1,37 @@
 """Decision procedures on regex languages: inclusion, universality,
 inclusion of concatenations, and bounded word enumeration.
 
-Inclusion runs a breadth-first search over the product of an NFA for
-the left side with the complement of a DFA for the right side, so a
-failed check always comes with a shortest counterexample word.
+Inclusion L(n1) <= L(n2) is decided on the fly, without building a DFA
+for the right side. A breadth-first search runs over nodes (q1, S): q1
+is a state of n1, and S is the bitmask of the n2 states reached by the
+same word, stepped on demand with the subset kernel of automata and
+memoised per call. Inclusion fails exactly when some node pairs an
+accepting q1 with an S that holds no accepting state of n2.
+
+The search is pruned with antichains (De Wulf, Doyen, Henzinger and
+Raskin, CAV 2006). For each q1 it keeps the minimal masks reached so
+far, and drops a new node (q1, T) when a kept mask M has M <= T: every
+word that leads T out of L(n2) leads M out of it too. Characters and
+n1 targets are taken in sorted order, so nodes are found in (length,
+alphabetical) order of their words, and M was reached by a word no
+greater than T's. The first counterexample found is therefore the
+shortest, alphabetically first word of L(n1) - L(n2), the same word a
+search over the full subset DFA returns. Nodes already queued are never
+dropped. The search ticks the budget once per node it expands.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from collections import deque
 from typing import Iterable, Sequence
 
-from .automata import compile_nfa, determinize, dfa_accepts, Dfa, Nfa
-from .errors import CapExceededError, PreconditionError
+from .automata import (
+    _step, _successor_masks, compile_nfa, determinize, dfa_accepts, Nfa,
+)
+from .errors import (
+    TICK_BATCH, CapExceededError, PreconditionError, SearchBudget,
+)
 from .regexes import Concat, RegexAst, sigma_star, symbols
 
 DEFAULT_WORD_CAP = 200_000
@@ -52,58 +69,90 @@ def _compiled(node: RegexAst) -> Nfa:
     return compile_nfa(node)
 
 
-def language_inclusion(e1: RegexAst, e2: RegexAst) -> InclusionReport:
-    """Decide L(e1) <= L(e2); on failure report a shortest witness word."""
-    n1 = _compiled(e1)
-    d2 = determinize(_compiled(e2), n1.alphabet)
-    counterexample = _bad_word(n1, d2)
+def language_inclusion(e1: RegexAst, e2: RegexAst,
+                       budget: SearchBudget | None = None) -> InclusionReport:
+    """Decide L(e1) <= L(e2); on failure report the shortest witness
+    word, alphabetically first among the shortest."""
+    counterexample = _missing_word(_compiled(e1), _compiled(e2),
+                                   budget or SearchBudget())
     return InclusionReport(counterexample is None, counterexample)
 
 
-def nfa_language_included(n1: Nfa, n2: Nfa) -> bool:
+def nfa_language_included(n1: Nfa, n2: Nfa,
+                          budget: SearchBudget | None = None) -> bool:
     """Decide L(n1) <= L(n2) directly on automata.
 
     Lets callers test against machine-derived languages (prefix
     closures and the like) that have no expression form at hand.
     """
-    d2 = determinize(n2, n1.alphabet)
-    return _bad_word(n1, d2) is None
+    return _missing_word(n1, n2, budget or SearchBudget()) is None
 
 
-def _bad_word(n1: Nfa, d2: Dfa) -> str | None:
-    """Shortest word accepted by n1 but not by d2, if any."""
-    start = (n1.initial, d2.initial)
+def _missing_word(n1: Nfa, n2: Nfa, budget: SearchBudget) -> str | None:
+    """The (length, alphabetical)-least word accepted by n1 and not by
+    n2, if any, from the antichain search in the module docstring."""
+    masks = _successor_masks(n2, n1.alphabet)
+    accepting2 = sum(1 << q for q in n2.accepting)
+    # images[ch][S] memoises the step of the subset S on ch.
+    images: dict[str, dict[int, int]] = {ch: {} for ch in n1.alphabet}
+    moves = [[(ch, sorted(n1.trans[q][ch])) for ch in sorted(n1.trans[q])]
+             for q in range(n1.n_states)]
+    start = (n1.initial, 1 << n2.initial)
     parents: dict[tuple[int, int], tuple[tuple[int, int], str]] = {}
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        q1, q2 = pair
-        if q1 in n1.accepting and q2 not in d2.accepting:
-            word: list[str] = []
-            while pair != start:
-                pair, ch = parents[pair]
-                word.append(ch)
-            return "".join(reversed(word))
-        for ch in sorted(n1.trans[q1]):
-            t2 = d2.step(q2, ch)
-            for t1 in sorted(n1.trans[q1][ch]):
-                nxt = (t1, t2)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    parents[nxt] = (pair, ch)
-                    queue.append(nxt)
+
+    def missing(node: tuple[int, int]) -> bool:
+        return node[0] in n1.accepting and not node[1] & accepting2
+
+    def word_to(node: tuple[int, int]) -> str:
+        word: list[str] = []
+        while node != start:
+            node, ch = parents[node]
+            word.append(ch)
+        return "".join(reversed(word))
+
+    if missing(start):
+        return ""
+    # kept[q1]: the minimal masks reached with q1, an antichain.
+    kept: list[list[int]] = [[] for _ in range(n1.n_states)]
+    kept[n1.initial].append(start[1])
+    queue = [start]
+    pos = 0
+    while pos < len(queue):
+        node = queue[pos]
+        pos += 1
+        if not pos % TICK_BATCH:
+            budget.tick(TICK_BATCH)
+        q1, subset = node
+        for ch, targets in moves[q1]:
+            memo = images[ch]
+            image = memo.get(subset)
+            if image is None:
+                image = memo[subset] = _step(subset, masks[ch])
+            for t1 in targets:
+                antichain = kept[t1]
+                if any(not m & ~image for m in antichain):
+                    continue
+                kept[t1] = [m for m in antichain if image & ~m]
+                kept[t1].append(image)
+                nxt = (t1, image)
+                parents[nxt] = (node, ch)
+                if missing(nxt):
+                    budget.tick(pos % TICK_BATCH)
+                    return word_to(nxt)
+                queue.append(nxt)
+    budget.tick(pos % TICK_BATCH)
     return None
 
 
-def universality(e: RegexAst, alphabet: Iterable[str]) -> InclusionReport:
+def universality(e: RegexAst, alphabet: Iterable[str],
+                 budget: SearchBudget | None = None) -> InclusionReport:
     """Decide L(e) = alphabet*; counterexamples are shortest missing words."""
     alpha = frozenset(alphabet)
     missing = symbols(e) - alpha
     if missing:
         raise PreconditionError(
             f"expression uses symbols outside the alphabet: {sorted(missing)}")
-    return language_inclusion(sigma_star(alpha), e)
+    return language_inclusion(sigma_star(alpha), e, budget)
 
 
 def concat_ast(parts: Sequence[RegexAst]) -> RegexAst:

@@ -12,7 +12,7 @@ import enum
 import json
 from dataclasses import dataclass
 from collections import Counter, deque
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import PreconditionError, RgpSchemaError
 from .regexes import (
@@ -42,15 +42,21 @@ class Rgp:
             raise RgpSchemaError("duplicate vertex ids")
         declared = set(self.vertices)
         alpha = set(self.alphabet)
+        # Labels shared between arcs are checked once. They are told
+        # apart by identity: hashing an AST recurses through it.
+        checked: set[int] = set()
         for i, arc in enumerate(self.arcs):
             if arc.src not in declared or arc.dst not in declared:
                 raise RgpSchemaError(
                     f"arc {i} references an undeclared vertex")
+            if id(arc.label) in checked:
+                continue
             extra = symbols(arc.label) - alpha
             if extra:
                 raise RgpSchemaError(
                     f"arc {i} label uses symbols outside the alphabet: "
                     f"{sorted(extra)}")
+            checked.add(id(arc.label))
 
 
 def make_rgp(
@@ -58,12 +64,17 @@ def make_rgp(
     vertices: Sequence[str],
     arcs: Iterable[tuple[str, str, "RegexAst | str"]],
 ) -> Rgp:
-    """Convenience constructor accepting surface-syntax labels."""
+    """Convenience constructor accepting surface-syntax labels; each
+    distinct label string is parsed once."""
     alpha = tuple(sorted(set(alphabet)))
+    parsed: dict[str, RegexAst] = {}
     built = []
     for src, dst, label in arcs:
         if isinstance(label, str):
-            label = parse_regex(label, alpha)
+            text = label
+            label = parsed.get(text)
+            if label is None:
+                label = parsed[text] = parse_regex(text, alpha)
         built.append(Arc(src, dst, label))
     return Rgp(alphabet=alpha, vertices=tuple(vertices), arcs=tuple(built))
 
@@ -94,6 +105,9 @@ def parse_rgp(doc: "str | Mapping") -> Rgp:
     if not isinstance(doc["arcs"], list):
         raise RgpSchemaError("arcs must be a list")
     alpha = tuple(sorted(set(alphabet)))
+    # Each distinct label string is parsed once; a bad one fails at the
+    # first arc that carries it.
+    parsed: dict[str, RegexAst] = {}
     arcs = []
     for i, entry in enumerate(doc["arcs"]):
         if not isinstance(entry, Mapping):
@@ -101,10 +115,13 @@ def parse_rgp(doc: "str | Mapping") -> Rgp:
         for key in ("from", "to", "label"):
             if key not in entry or not isinstance(entry[key], str):
                 raise RgpSchemaError(f"arc {i} needs string field {key!r}")
-        try:
-            label = parse_regex(entry["label"], alpha)
-        except ValueError as exc:
-            raise RgpSchemaError(f"arc {i} label: {exc}") from exc
+        text = entry["label"]
+        label = parsed.get(text)
+        if label is None:
+            try:
+                label = parsed[text] = parse_regex(text, alpha)
+            except ValueError as exc:
+                raise RgpSchemaError(f"arc {i} label: {exc}") from exc
         arcs.append((entry["from"], entry["to"], label))
     return make_rgp(alpha, tuple(vertices), arcs)
 

@@ -15,11 +15,12 @@ from __future__ import annotations
 import itertools
 import random
 import string
+from collections import deque
 from dataclasses import dataclass
 
-from .automata import compile_nfa, determinize, prefix_closure
+from .automata import Dfa, Nfa, compile_nfa, determinize, prefix_closure
 from .errors import CapExceededError, PreconditionError
-from .languages import _bad_word, concat_ast
+from .languages import concat_ast
 from .nhom import NHomomorphism
 from .regexes import (
     Concat,
@@ -258,6 +259,26 @@ def _reachable_from(q: Rgp, source: str) -> frozenset[str]:
     return frozenset(seen)
 
 
+def _within(nfa: Nfa, dfa: Dfa) -> bool:
+    """L(nfa) <= L(dfa), by a plain breadth-first search over the product
+    of the NFA and the full DFA, kept apart from the inclusion search in
+    languages on purpose."""
+    start = (nfa.initial, dfa.initial)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        q1, q2 = queue.popleft()
+        if q1 in nfa.accepting and q2 not in dfa.accepting:
+            return False
+        for ch, targets in nfa.trans[q1].items():
+            t2 = dfa.step(q2, ch)
+            for t1 in targets:
+                if (t1, t2) not in seen:
+                    seen.add((t1, t2))
+                    queue.append((t1, t2))
+    return True
+
+
 def _walk_table(q: Rgp, e: RegexAst,
                 budget: OracleBudget) -> dict[tuple[str, str], tuple[int, ...]]:
     """One qualifying walk per realizable pair, by breadth-first listing.
@@ -283,8 +304,8 @@ def _walk_table(q: Rgp, e: RegexAst,
     def check(sigma: tuple[RegexAst, ...]) -> bool:
         if sigma not in viable:
             nfa = compile_nfa(concat_ast(sigma))
-            viable[sigma] = _bad_word(nfa, prefixes) is None
-            qualifies[sigma] = viable[sigma] and _bad_word(nfa, accept) is None
+            viable[sigma] = _within(nfa, prefixes)
+            qualifies[sigma] = viable[sigma] and _within(nfa, accept)
         return viable[sigma]
 
     table: dict[tuple[str, str], tuple[int, ...]] = {}
@@ -334,8 +355,8 @@ def oracle_n_hom(p: Rgp, q: Rgp,
 
     Exact within budget; raises CapExceededError instead of guessing
     when a limit is hit.  Intended as the reference the production
-    solver is measured against, so it shares only the language-level
-    inclusion primitive with it, none of the search machinery.
+    solver is measured against, so it shares only the automaton
+    construction with it, none of the search machinery.
     """
     budget = budget or OracleBudget()
     if not p.vertices:

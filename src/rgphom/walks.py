@@ -33,7 +33,8 @@ S * |V| + v.
   that stops at v, which gives a shortest walk with ties broken by arc
   index, and memoises it; only the arcs of a final map need one.
 
-Every pass ticks the budget once per product node, in batches.
+Every pass ticks the budget once per product node, in batches, and
+determinizing the label ticks it once per DFA state.
 """
 
 from __future__ import annotations
@@ -44,12 +45,9 @@ from dataclasses import dataclass, field
 
 from .automata import Nfa, compile_nfa, determinize
 from .csp import Rows, _bits
-from .errors import PreconditionError, SearchBudget
+from .errors import TICK_BATCH, PreconditionError, SearchBudget
 from .regexes import RegexAst
 from .rgp import Rgp
-
-# Budget ticks are taken this many product nodes at a time.
-TICK_BATCH = 256
 
 
 def _flood(seeds: dict[int, int], successors: Callable[[int], Iterable[int]],
@@ -91,7 +89,7 @@ class _Engine:
     def __init__(self, q: Rgp, e: RegexAst, budget: SearchBudget):
         self.n = len(q.vertices)
         self.index = {v: i for i, v in enumerate(q.vertices)}
-        self.dfa = determinize(compile_nfa(e), q.alphabet)
+        self.dfa = determinize(compile_nfa(e), q.alphabet, budget)
         self.initial = 1 << self.dfa.initial
         self.accepting = sum(1 << s for s in self.dfa.accepting)
         # dfa_into[d2][ch] lists the DFA states d with step(d, ch) = d2.

@@ -4,6 +4,10 @@ Everything here evaluates regex semantics directly on the AST, without
 NFAs or DFAs, so agreement with the library is meaningful evidence.
 reference_csp is the plain value-list AC-3 and backtracking that the
 bitset constraint search is compared against; it shares no code with it.
+reference_determinize and reference_inclusion are the frozenset subset
+construction and the breadth-first search over the full DFA product
+that the bitmask determinize and the on-the-fly inclusion search
+replaced; they return the same DFA and the same counterexample word.
 """
 
 from __future__ import annotations
@@ -59,6 +63,62 @@ def inclusion_by_enumeration(e1: RegexAst, e2: RegexAst,
     for word in sorted(left, key=lambda w: (len(w), w)):
         if word not in right:
             return word
+    return None
+
+
+def reference_determinize(nfa: Nfa, alphabet: Iterable[str] = ()) -> Dfa:
+    """Reachable-subset DFA over frozensets of NFA states, numbered in
+    breadth-first discovery order with symbols in sorted order."""
+    alpha = tuple(sorted(set(nfa.alphabet) | set(alphabet)))
+    start = frozenset((nfa.initial,))
+    order = [start]
+    index = {start: 0}
+    delta = []
+    pos = 0
+    while pos < len(order):
+        subset = order[pos]
+        pos += 1
+        row = {}
+        for ch in alpha:
+            nxt = frozenset(t for q in subset for t in nfa.successors(q, ch))
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+            row[ch] = index[nxt]
+        delta.append(row)
+    accepting = frozenset(
+        i for i, subset in enumerate(order) if subset & nfa.accepting)
+    return Dfa(n_states=len(order), initial=0, accepting=accepting,
+               delta=tuple(delta), alphabet=alpha)
+
+
+def reference_inclusion(e1: RegexAst, e2: RegexAst) -> str | None:
+    """Shortest, then alphabetically first, word of L(e1) - L(e2), by a
+    breadth-first search over the product of e1's NFA and the full DFA
+    of e2, characters and targets in sorted order; None on inclusion."""
+    n1 = compile_nfa(e1)
+    d2 = reference_determinize(compile_nfa(e2), n1.alphabet)
+    start = (n1.initial, d2.initial)
+    parents = {}
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        pair = queue.popleft()
+        q1, q2 = pair
+        if q1 in n1.accepting and q2 not in d2.accepting:
+            word = []
+            while pair != start:
+                pair, ch = parents[pair]
+                word.append(ch)
+            return "".join(reversed(word))
+        for ch in sorted(n1.trans[q1]):
+            t2 = d2.step(q2, ch)
+            for t1 in sorted(n1.trans[q1][ch]):
+                nxt = (t1, t2)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    parents[nxt] = (pair, ch)
+                    queue.append(nxt)
     return None
 
 

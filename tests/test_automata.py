@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import random
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from rgphom.automata import (
     compile_nfa, determinize, dfa_accepts, nfa_accepts, prefix_closure,
 )
+from rgphom.errors import BudgetExceededError, SearchBudget
 from rgphom.regexes import Star, Sym, node_count, parse_regex, plus
+from rgphom.testkit import random_regex
 
-from helpers import all_words, words_of
+from helpers import all_words, reference_determinize, words_of
 from test_regexes import ast_strategy
 
 
@@ -55,6 +60,29 @@ def test_determinize_extra_alphabet_symbols_reach_sink():
     assert dfa.alphabet == ("a", "b")
     assert not dfa_accepts(dfa, "b")
     assert dfa_accepts(dfa, "a")
+
+
+def test_determinize_matches_the_frozenset_construction():
+    # Same states, numbering, transitions and accepting set, on random
+    # expressions and on one 4 097-state DFA.
+    rng = random.Random(7)
+    for k in range(300):
+        alpha = ("a", "ab", "abc")[k % 3]
+        nfa = compile_nfa(random_regex(rng, rng.randint(1, 14), alpha))
+        assert determinize(nfa, alpha) == reference_determinize(nfa, alpha)
+    nfa = compile_nfa(parse_regex("(a|b)*a" + "(a|b)" * 11, "ab"))
+    dfa = determinize(nfa)
+    assert dfa.n_states == 4097
+    assert dfa == reference_determinize(nfa)
+
+
+def test_determinize_ticks_once_per_subset_state():
+    nfa = compile_nfa(parse_regex("(a|b)*a" + "(a|b)" * 9, "ab"))
+    budget = SearchBudget()
+    dfa = determinize(nfa, budget=budget)
+    assert budget.nodes == dfa.n_states == 1025
+    with pytest.raises(BudgetExceededError):
+        determinize(nfa, budget=SearchBudget(max_nodes=300))
 
 
 @given(ast_strategy())

@@ -151,6 +151,25 @@ def test_universal_exit_codes(runner):
     assert as_doc(out)["counterexample"] == "ba"
 
 
+def test_include_and_universal_take_a_budget(runner):
+    _, run, _ = runner
+    code, out = run("include", "(a|b)*aa" + "(a|b)" * 10,
+                    "(a|b)*a" + "(a|b)" * 11, "--alphabet", "ab",
+                    "--budget", "5")
+    assert code == 3 and out == ""
+    # Every word: the short ones, and the long ones by their fifth
+    # symbol from the end.
+    every = "|".join(["a*"] + ["(a|b)" * k for k in range(1, 5)]
+                     + ["(a|b)*" + c + "(a|b)" * 4 for c in "ab"])
+    code, out = run("universal", every, "--alphabet", "ab", "--budget", "5")
+    assert code == 3 and out == ""
+    code, out = run("universal", every, "--alphabet", "ab")
+    assert code == 0 and as_doc(out) == {"holds": True}
+    code, out = run("include", "(a|b)*aa" + "(a|b)" * 10,
+                    "(a|b)*a" + "(a|b)" * 11, "--alphabet", "ab")
+    assert code == 0 and as_doc(out) == {"holds": True}
+
+
 def test_dq_formats(runner):
     save, run, _ = runner
     path = save("q.json", a_path(3))

@@ -1,17 +1,22 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rgphom.automata import compile_nfa
-from rgphom.errors import CapExceededError, PreconditionError
+from rgphom.errors import (
+    BudgetExceededError, CapExceededError, PreconditionError, SearchBudget,
+)
 from rgphom.languages import (
-    concat_inclusion, language_inclusion, truncated_words,
-    truncation_equivalence_check, universality,
+    concat_inclusion, language_inclusion, nfa_language_included,
+    truncated_words, truncation_equivalence_check, universality,
 )
 from rgphom.regexes import parse_regex
+from rgphom.testkit import random_regex
 
-from helpers import inclusion_by_enumeration, words_of
+from helpers import inclusion_by_enumeration, reference_inclusion, words_of
 from test_regexes import ast_strategy
 
 
@@ -37,6 +42,65 @@ def test_inclusion_failure_has_shortest_counterexample():
 def test_inclusion_between_different_alphabets():
     assert not language_inclusion(rx("ab"), rx("a+", "a")).holds
     assert language_inclusion(rx("a", "a"), rx("a|b")).holds
+
+
+def ends_with_at(n, sym="a"):
+    """(a|b)*s(a|b)^n, whose minimal DFA has 2^(n+1) states."""
+    return "(a|b)*" + sym + "(a|b)" * n
+
+
+def test_inclusion_matches_the_full_dfa_search_on_random_pairs():
+    # Verdict and counterexample word both; the pair count is high
+    # because a search that drops queued nodes differs on about one
+    # pair in a hundred.
+    rng = random.Random(2024)
+    inclusions = 0
+    for k in range(3000):
+        alpha = ("a", "ab", "abc")[k % 3]
+        e1 = random_regex(rng, rng.randint(1, 10), alpha)
+        e2 = random_regex(rng, rng.randint(1, 14), alpha)
+        expected = reference_inclusion(e1, e2)
+        report = language_inclusion(e1, e2)
+        assert report.counterexample == expected, (k, e1, e2)
+        assert report.holds == (expected is None)
+        inclusions += report.holds
+    assert 500 < inclusions < 2500
+
+
+def test_inclusion_matches_the_full_dfa_search_on_exponential_families():
+    cases = []
+    for n in (8, 9, 10):
+        cases.append(("(a|b)*aa" + "(a|b)" * n, ends_with_at(n + 1), "ab"))
+        cases.append((ends_with_at(n, "b"), ends_with_at(n), "ab"))
+        cases.append(("(a|b)+", ends_with_at(n), "ab"))
+    for length in (18, 23):
+        cases.append(("a+", "|".join("a" * k for k in range(1, length))
+                      + "|" + "a" * (length + 1) + "a*", "a"))
+    for left, right, alpha in cases:
+        e1, e2 = rx(left, alpha), rx(right, alpha)
+        assert language_inclusion(e1, e2).counterexample == \
+            reference_inclusion(e1, e2), (left, right)
+
+
+def test_counterexample_empty_word_needs_no_subset_construction():
+    # The right side's DFA has 2^17 states; the empty word is missing
+    # from it, and the search finds that before expanding any node.
+    report = language_inclusion(rx("(a|b)*"), rx(ends_with_at(16)),
+                                SearchBudget(max_nodes=10))
+    assert report.counterexample == ""
+
+
+def test_inclusion_runs_out_of_a_tiny_budget():
+    e1 = rx("(a|b)*aa" + "(a|b)" * 10)
+    e2 = rx(ends_with_at(11))
+    with pytest.raises(BudgetExceededError):
+        language_inclusion(e1, e2, SearchBudget(max_nodes=5))
+    with pytest.raises(BudgetExceededError):
+        nfa_language_included(compile_nfa(e1), compile_nfa(e2),
+                              SearchBudget(max_nodes=5))
+    budget = SearchBudget()
+    assert language_inclusion(e1, e2, budget).holds
+    assert 5 < budget.nodes < 10_000
 
 
 def test_universality_unary_star():

@@ -3,9 +3,9 @@ from __future__ import annotations
 import pytest
 
 from rgphom.errors import PreconditionError, RgpSchemaError
-from rgphom.regexes import Concat, Star, Sym, plus
+from rgphom.regexes import Concat, Star, Sym, parse_regex, plus
 from rgphom.rgp import (
-    LabelKind, delete_arc, delete_vertex, directed_path_order, export_dot,
+    Arc, LabelKind, Rgp, delete_arc, delete_vertex, directed_path_order, export_dot,
     is_graph_database, is_walk, label_class, make_rgp, parse_rgp,
     serialize_rgp, signed_walk_sum, structural_predicates, walk_endpoints,
     walk_label,
@@ -49,6 +49,26 @@ def test_parse_and_serialize_round_trip():
 def test_parse_schema_errors(doc):
     with pytest.raises(RgpSchemaError):
         parse_rgp(doc)
+
+
+def test_repeated_labels_parse_as_arc_by_arc():
+    labels = ["a", "(a|b)*", "a", "b+", "(a|b)*", "a"]
+    doc = {"alphabet": ["a", "b"], "vertices": ["u", "v"],
+           "arcs": [{"from": "u", "to": "v", "label": t} for t in labels]}
+    p = parse_rgp(doc)
+    assert [arc.label for arc in p.arcs] == [
+        parse_regex(t, "ab") for t in labels]
+    assert p == make_rgp("ab", ["u", "v"], [("u", "v", t) for t in labels])
+    # A bad label is reported at the first arc that carries it.
+    doc["arcs"][3]["label"] = doc["arcs"][5]["label"] = "(a"
+    with pytest.raises(RgpSchemaError, match="arc 3 label"):
+        parse_rgp(doc)
+    # So is a label outside the alphabet, shared by several arcs.
+    shared = parse_regex("b+", "ab")
+    arcs = [Arc("u", "v", parse_regex("a", "ab"))] + [
+        Arc("u", "v", shared)] * 2
+    with pytest.raises(RgpSchemaError, match="arc 1 label uses"):
+        Rgp(alphabet=("a",), vertices=("u", "v"), arcs=tuple(arcs))
 
 
 def test_is_graph_database():

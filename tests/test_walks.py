@@ -218,3 +218,17 @@ def test_batched_ticks_lose_no_node(monkeypatch):
     monkeypatch.setattr(walks, "TICK_BATCH", 1)
     assert ticks() == batched
     assert batched > 2 * TICK_BATCH and batched % TICK_BATCH
+
+
+def test_label_determinization_spends_the_relation_budget():
+    # The label's DFA has 1 025 states, the one-arc target few product
+    # nodes: the budget runs out while the label is determinized.
+    q = make_rgp("ab", ["u", "v"], [("u", "v", "a")])
+    e = rx("(a|b)*a" + "(a|b)" * 9)
+    clear_relation_cache()
+    with pytest.raises(BudgetExceededError) as caught:
+        relation_for_label(q, e, SearchBudget(max_nodes=1000))
+    assert any(entry.name == "determinize" for entry in caught.traceback)
+    budget = SearchBudget()
+    relation_for_label(q, e, budget)
+    assert budget.nodes >= 1025
