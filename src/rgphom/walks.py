@@ -10,25 +10,32 @@ deterministic, so each walk yields one node, and a walk qualifies
 exactly when its final S contains only accepting states. Nodes number
 at most 2^d * |V|, which bounds the length of shortest witnesses.
 
-Everything runs on bitsets. Vertices are indexed in q.vertices order,
+Everything runs on bitsets. Vertices are indexed in sorted-name order,
 a set of DFA states is an int bitmask, and the node (S, v) is the int
 S * |V| + v.
 
+Both passes below condense a product graph with Tarjan's algorithm
+(_condense): one iterative depth-first search enters each reachable
+node once and returns its strongly connected components sinks first.
+A fold over that component DAG (Nuutila's transitive-closure scheme)
+then gives every node's reach in one visit per node and arc.
+
 - Label images. For each distinct target arc label B, images[s] is the
-  bitmask of DFA states reachable from s by a word of L(B). One forward
-  pass walks the product of the DFA with B's NFA from every (s,
-  initial) at once; a backward pass then pushes the DFA state of each
-  reachable accepting node back along reversed edges until nothing
-  changes, and images[s] is what arrives at (s, initial). The image of
-  a whole state set is memoised per label.
-- Relation rows from every source at once. relation_for_label puts
-  each source's bit on the successors of its out-arcs, so only
-  nonempty walks count, and a worklist forwards newly arrived source
-  bits through the product graph until nothing changes. rows[v], the
-  OR of the masks at the nodes (S, v) whose S is all-accepting, holds
-  every source joined to v. relation_for_label renumbers these by
-  vertex name into the relation's column masks, and fills the row
-  masks in the same pass, so the CSP takes the relation as it is.
+  bitmask of DFA states reachable from s by a word of L(B). The product
+  of the DFA with B's NFA is condensed from every (s, initial) at once,
+  the DFA states of its accepting nodes are folded sinks first, and
+  images[s] is the fold at (s, initial). The image of a whole state set
+  is memoised per label.
+- Relation rows from every source at once. The walk graph is condensed
+  from the successors of every start node (initial, u), so only
+  nonempty walks count. A sinks-first fold gives each component the
+  vertex bits v of the nodes (S, v) it reaches whose S is
+  all-accepting, and rows[u] is the OR of the folds at the successors
+  of (initial, u). A forward fold in topological order pushes each
+  source's bit from those successors down the component DAG, and
+  cols[v] is the OR of the source bits arriving at the all-accepting
+  nodes (S, v). The engine's vertex order is the relation's, so the
+  CSP takes rows and cols as they come.
 - Witnesses on demand. WalkRelation.witness(u, v) runs a BFS from u
   that stops at v, which gives a shortest walk with ties broken by arc
   index, and memoises it; only the arcs of a final map need one.
@@ -50,34 +57,78 @@ from .regexes import RegexAst
 from .rgp import Rgp
 
 
-def _flood(seeds: dict[int, int], successors: Callable[[int], Iterable[int]],
-           budget: SearchBudget) -> dict[int, int]:
-    """masks[x] = the OR of seeds[y] over every seed y from which node x
-    is reachable, x itself included. A worklist forwards only the bits
-    that are new at a node, and ticks the budget once per node taken."""
-    masks = dict(seeds)
-    # pending[x] holds the bits that reached x and were not forwarded
-    # yet; x is queued exactly while it has some.
-    pending = dict(seeds)
-    queue = list(seeds)
-    pos = 0
-    while pos < len(queue):
-        node = queue[pos]
-        pos += 1
-        if not pos % TICK_BATCH:
-            budget.tick(TICK_BATCH)
-        new = pending.pop(node)
-        for nxt in successors(node):
-            old = masks.get(nxt, 0)
-            add = new & ~old
-            if add:
-                masks[nxt] = old | add
-                if nxt in pending:
-                    pending[nxt] |= add
-                else:
-                    pending[nxt] = add
-                    queue.append(nxt)
-    budget.tick(pos % TICK_BATCH)
+def _condense(starts: Iterable[int],
+              successors: Callable[[int], list[int]],
+              budget: SearchBudget,
+              ) -> tuple[list[list[int]], dict[int, int], dict[int, list[int]]]:
+    """Tarjan's strongly connected components of the nodes reachable from
+    starts, by an iterative depth-first search that visits each node
+    once and ticks the budget once per node.
+
+    Returns the components sinks first, so every arc that leaves a
+    component enters an earlier one; the component index of each node;
+    and each node's successor list."""
+    # low[x] starts as x's depth on the component stack; a node is on
+    # that stack exactly while it is in low but not yet in comp.
+    low: dict[int, int] = {}
+    comp: dict[int, int] = {}
+    succ: dict[int, list[int]] = {}
+    components: list[list[int]] = []
+    stack: list[int] = []
+    # work holds (node, its depth, its unexplored successors) along the
+    # current search path; nxt is the node to enter next, or -1.
+    work: list[tuple[int, int, Iterator[int]]] = []
+    for nxt in starts:
+        if nxt in low:
+            continue
+        while True:
+            if nxt >= 0:
+                depth = len(stack)
+                low[nxt] = depth
+                if not len(low) % TICK_BATCH:
+                    budget.tick(TICK_BATCH)
+                out = succ[nxt] = successors(nxt)
+                stack.append(nxt)
+                work.append((nxt, depth, iter(out)))
+            node, depth, rest = work[-1]
+            nxt = -1
+            for y in rest:
+                if y not in low:
+                    nxt = y
+                    break
+                if y not in comp and low[y] < low[node]:
+                    low[node] = low[y]
+            else:
+                work.pop()
+                if low[node] == depth:
+                    if stack[-1] == node:
+                        members = [stack.pop()]
+                    else:
+                        members = stack[depth:]
+                        del stack[depth:]
+                    for x in members:
+                        comp[x] = len(components)
+                    components.append(members)
+                    if not work:
+                        break
+                elif low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+    budget.tick(len(low) % TICK_BATCH)
+    return components, comp, succ
+
+
+def _fold(components: list[list[int]], comp: dict[int, int],
+          succ: dict[int, list[int]], own: Callable[[int], int]) -> list[int]:
+    """masks[c] = the OR of own(x) over every node x reachable from
+    component c, read off the components sinks first."""
+    masks = [0] * len(components)
+    for c, members in enumerate(components):
+        mask = 0
+        for x in members:
+            mask |= own(x)
+            for y in succ[x]:
+                mask |= masks[comp[y]]
+        masks[c] = mask
     return masks
 
 
@@ -88,27 +139,24 @@ class _Engine:
 
     def __init__(self, q: Rgp, e: RegexAst, budget: SearchBudget):
         self.n = len(q.vertices)
-        self.index = {v: i for i, v in enumerate(q.vertices)}
+        self.names = tuple(sorted(q.vertices))
+        self.index = {v: i for i, v in enumerate(self.names)}
         self.dfa = determinize(compile_nfa(e), q.alphabet, budget)
         self.initial = 1 << self.dfa.initial
         self.accepting = sum(1 << s for s in self.dfa.accepting)
-        # dfa_into[d2][ch] lists the DFA states d with step(d, ch) = d2.
-        dfa_into: list[dict[str, list[int]]] = [
-            {} for _ in range(self.dfa.n_states)]
-        for d, row in enumerate(self.dfa.delta):
-            for ch, d2 in row.items():
-                dfa_into[d2].setdefault(ch, []).append(d)
         # dead: the DFA states from which no accepting state is reachable.
         # A state set holding one never turns all-accepting, so the
         # searches drop its nodes.
+        into: list[set[int]] = [set() for _ in range(self.dfa.n_states)]
+        for d, row in enumerate(self.dfa.delta):
+            for d2 in row.values():
+                into[d2].add(d)
         live = set(self.dfa.accepting)
         stack = list(live)
         while stack:
-            for sources in dfa_into[stack.pop()].values():
-                for d in sources:
-                    if d not in live:
-                        live.add(d)
-                        stack.append(d)
+            for d in into[stack.pop()] - live:
+                live.add(d)
+                stack.append(d)
         self.dead = sum(1 << s for s in range(self.dfa.n_states)
                         if s not in live)
         # out[v] lists (arc index, dst index, label id) in arc order.
@@ -119,57 +167,36 @@ class _Engine:
             if arc.label not in self.label_ids:
                 self.label_ids[arc.label] = len(self.images)
                 self.images.append(self._label_images(
-                    compile_nfa(arc.label), dfa_into, budget))
+                    compile_nfa(arc.label), budget))
             self.out[self.index[arc.src]].append(
                 (i, self.index[arc.dst], self.label_ids[arc.label]))
         self._set_images: list[dict[int, int]] = [{} for _ in self.images]
 
-    def _label_images(self, nfa: Nfa, dfa_into: list[dict[str, list[int]]],
-                      budget: SearchBudget) -> list[int]:
+    def _label_images(self, nfa: Nfa, budget: SearchBudget) -> list[int]:
         """images[s] = bitmask of the DFA states reachable from s by a
-        word of the arc label's language, from one forward and one
-        backward pass over the product of the DFA and the label's NFA,
-        whose node (d, b) is the int d * |NFA| + b."""
+        word of the arc label's language. The product of the DFA and the
+        label's NFA, whose node (d, b) is the int d * |NFA| + b, is
+        condensed from every (s, initial) at once, and the DFA states of
+        its accepting nodes are folded sinks first."""
         delta = self.dfa.delta
+        trans = nfa.trans
+        accepting = nfa.accepting
         width = nfa.n_states
-        # Forward: every product node reachable from some (s, initial).
-        order = [s * width + nfa.initial for s in range(self.dfa.n_states)]
-        seen = set(order)
-        pos = 0
-        while pos < len(order):
-            node = order[pos]
-            pos += 1
-            if not pos % TICK_BATCH:
-                budget.tick(TICK_BATCH)
+
+        def successors(node: int) -> list[int]:
             d, b = divmod(node, width)
-            for ch, targets in nfa.trans[b].items():
-                base = delta[d][ch] * width
-                for b2 in targets:
-                    if base + b2 not in seen:
-                        seen.add(base + b2)
-                        order.append(base + b2)
-        budget.tick(pos % TICK_BATCH)
+            row = delta[d]
+            return [row[ch] * width + b2
+                    for ch, targets in trans[b].items() for b2 in targets]
 
-        # Backward: reach[x] collects the DFA state of every accepting
-        # node reachable from x, pushed back along reversed edges.
-        nfa_into: list[dict[str, list[int]]] = [{} for _ in range(width)]
-        for b in range(width):
-            for ch, targets in nfa.trans[b].items():
-                for b2 in targets:
-                    nfa_into[b2].setdefault(ch, []).append(b)
+        def own(node: int) -> int:
+            d, b = divmod(node, width)
+            return 1 << d if b in accepting else 0
 
-        def into(node: int) -> Iterator[int]:
-            d2, b2 = divmod(node, width)
-            for ch, sources in nfa_into[b2].items():
-                for d in dfa_into[d2].get(ch, ()):
-                    for b in sources:
-                        if d * width + b in seen:
-                            yield d * width + b
-
-        reach = _flood({node: 1 << (node // width) for node in reversed(order)
-                        if node % width in nfa.accepting}, into, budget)
-        return [reach.get(s * width + nfa.initial, 0)
-                for s in range(self.dfa.n_states)]
+        starts = [s * width + nfa.initial for s in range(self.dfa.n_states)]
+        components, comp, succ = _condense(starts, successors, budget)
+        masks = _fold(components, comp, succ, own)
+        return [masks[comp[x]] for x in starts]
 
     def step(self, label_id: int, states: int) -> int:
         """The image of a state set under a target arc label."""
@@ -183,36 +210,53 @@ class _Engine:
             memo[states] = image
         return image
 
-    def rows(self, budget: SearchBudget) -> list[int]:
-        """rows[v] = bitmask of the sources u with a qualifying nonempty
-        walk from u to v, from one worklist pass over all sources."""
+    def rows(self, budget: SearchBudget) -> tuple[list[int], list[int]]:
+        """(rows, cols): bit v of rows[u], and bit u of cols[v], is set
+        when a qualifying nonempty walk leads from u to v. The product
+        graph is condensed from the successors of every (initial, u);
+        rows fold the vertex bits of all-accepting nodes sinks first,
+        cols fold the source bits forward in topological order."""
         n = self.n
         # Parallel arcs with one label lead to the same node.
-        succ = [sorted({(dst, label) for _, dst, label in arcs})
-                for arcs in self.out]
+        out = [sorted({(dst, label) for _, dst, label in arcs})
+               for arcs in self.out]
         dead = self.dead
+        step = self.step
 
-        def successors(node: int) -> Iterator[int]:
+        def successors(node: int) -> list[int]:
             states, v = divmod(node, n)
-            for dst, label in succ[v]:
-                image = self.step(label, states)
-                if not image & dead:
-                    yield image * n + dst
+            return [image * n + dst for dst, label in out[v]
+                    if not (image := step(label, states)) & dead]
 
-        # Each source's bit starts on the successors of its start node, so
-        # the empty walk counts for no pair.
-        seeds: dict[int, int] = {}
-        for u in range(n):
-            for node in successors(self.initial * n + u):
-                seeds[node] = seeds.get(node, 0) | 1 << u
-        masks = _flood(seeds, successors, budget)
-        rows = [0] * n
+        # Each source starts on the successors of its start node, so the
+        # empty walk counts for no pair.
+        firsts = [successors(self.initial * n + u) for u in range(n)]
+        components, comp, succ = _condense(
+            (x for first in firsts for x in first), successors, budget)
         rejecting = ~self.accepting
-        for node, mask in masks.items():
-            states, v = divmod(node, n)
-            if not states & rejecting:
-                rows[v] |= mask
-        return rows
+
+        def own(x: int) -> int:
+            return 0 if x // n & rejecting else 1 << x % n
+
+        masks = _fold(components, comp, succ, own)
+        rows = [0] * n
+        seeds = [0] * len(components)
+        for u, first in enumerate(firsts):
+            for x in first:
+                c = comp[x]
+                rows[u] |= masks[c]
+                seeds[c] |= 1 << u
+        cols = [0] * n
+        for c in reversed(range(len(components))):
+            sources = seeds[c]
+            if not sources:
+                continue
+            for x in components[c]:
+                if not x // n & rejecting:
+                    cols[x % n] |= sources
+                for y in succ[x]:
+                    seeds[comp[y]] |= sources
+        return rows, cols
 
     def walk(self, source: int, target: int,
              budget: SearchBudget) -> tuple[int, ...] | None:
@@ -357,9 +401,11 @@ def clear_relation_cache() -> None:
     _relation_cache.clear()
 
 
-def walk_length_bound(q: Rgp, e: RegexAst) -> int:
-    """2^d * |V(q)| where d counts the states of the label's DFA."""
-    dfa = determinize(compile_nfa(e), q.alphabet)
+def walk_length_bound(q: Rgp, e: RegexAst,
+                      budget: SearchBudget | None = None) -> int:
+    """2^d * |V(q)| where d counts the states of the label's DFA;
+    determinizing the label ticks the budget."""
+    dfa = determinize(compile_nfa(e), q.alphabet, budget)
     return (2 ** dfa.n_states) * len(q.vertices)
 
 
@@ -392,25 +438,11 @@ def relation_for_label(
         return cached
     use_budget = budget or SearchBudget()
     engine = _Engine(q, e, use_budget)
-    names = tuple(sorted(q.vertices))
-    position = {v: i for i, v in enumerate(names)}
-    # The engine numbers vertices in q.vertices order, and its rows[v]
-    # holds the sources joined to v: renumbered by name, those are the
-    # columns. One pass over the pairs fills the rows as well.
-    renumber = [position[v] for v in q.vertices]
-    rows = [0] * len(names)
-    cols = [0] * len(names)
-    for v, sources in enumerate(engine.rows(use_budget)):
-        j = renumber[v]
-        bit = 1 << j
-        for u in _bits(sources):
-            i = renumber[u]
-            cols[j] |= 1 << i
-            rows[i] |= bit
-    relation = WalkRelation(label=e, target=q, names=names,
+    rows, cols = engine.rows(use_budget)
+    relation = WalkRelation(label=e, target=q, names=engine.names,
                             rows=tuple(rows), cols=tuple(cols),
                             dfa_states=engine.dfa.n_states, _engine=engine,
-                            _position=position)
+                            _position=engine.index)
     _relation_cache[key] = relation
     return relation
 

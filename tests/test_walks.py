@@ -232,3 +232,118 @@ def test_label_determinization_spends_the_relation_budget():
     budget = SearchBudget()
     relation_for_label(q, e, budget)
     assert budget.nodes >= 1025
+
+
+def _scc_instance(seed):
+    """A target made of directed cycles (a cycle of length 1 is a
+    self-loop) chained by one-way arcs, with parallel arcs, and vertex
+    names shuffled so that neither q.vertices nor the cycles follow name
+    order: its walk graphs have many strongly connected components."""
+    rng = random.Random(seed)
+    names = [f"s{i}" for i in range(rng.randint(6, 14))]
+    rng.shuffle(names)
+    cycles, rest = [], names[:]
+    while rest:
+        size = min(rng.randint(1, 4), len(rest))
+        cycles.append(rest[:size])
+        rest = rest[size:]
+    arcs = []
+    for cycle in cycles:
+        for i, v in enumerate(cycle):
+            arcs.append((v, cycle[(i + 1) % len(cycle)],
+                         rng.choice(REFERENCE_LABELS)))
+    for i in range(len(cycles) - 1):
+        for _ in range(rng.randint(1, 2)):
+            arcs.append((rng.choice(cycles[i]),
+                         rng.choice(cycles[rng.randrange(i + 1, len(cycles))]),
+                         rng.choice(REFERENCE_LABELS)))
+    for src, dst, label in rng.sample(arcs, 3):
+        arcs.append((src, dst, rng.choice([label, *REFERENCE_LABELS])))
+    rng.shuffle(arcs)
+    vertices = names[:]
+    rng.shuffle(vertices)
+    return make_rgp("ab", vertices, arcs), rx(rng.choice(CYCLIC_LABELS))
+
+
+# Pattern labels whose DFAs loop, so that walks around the target's
+# cycles stay alive and the walk graph keeps cycles of its own.
+CYCLIC_LABELS = ["a*", "a+", "(a|b)*", "(a|b)+", "(ab)*", "b*a*",
+                 "(a|b)*a(a|b)", "(a|b)*b", "a(a|b)*"]
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_condensed_relation_matches_the_reference_on_scc_chains(seed):
+    q, e = _scc_instance(seed)
+    expected = reference_relation(q, e)
+    clear_relation_cache()
+    relation = relation_for_label(q, e)
+    names = relation.names
+    assert names == tuple(sorted(q.vertices))
+    assert relation.rows == tuple(
+        sum(1 << j for j, v in enumerate(names) if (u, v) in expected)
+        for u in names)
+    assert relation.cols == tuple(
+        sum(1 << i for i, u in enumerate(names) if relation.rows[i] >> j & 1)
+        for j in range(len(names)))
+    assert dict(relation.witnesses) == expected
+    engine = relation._engine
+    for label, k in engine.label_ids.items():
+        images = [frozenset(_bits(mask)) for mask in engine.images[k]]
+        assert images == reference_label_images(
+            engine.dfa, compile_nfa(label)), label
+
+
+def test_condensation_enters_and_ticks_each_node_once():
+    # Every node of a complete digraph is reached from every other one,
+    # so a search that ticked per arrival would count each many times.
+    n = 40
+    calls = []
+
+    def successors(x):
+        calls.append(x)
+        return [y for y in range(n) if y != x]
+
+    budget = SearchBudget()
+    components, comp, succ = walks._condense(range(n), successors, budget)
+    assert sorted(calls) == list(range(n))
+    assert budget.nodes == n
+    assert components == [list(range(n))]
+
+
+def test_relation_ticks_once_per_distinct_product_node():
+    # Determinizing a+ gives 3 states (0 -a-> 1 -a-> 2 -a-> 2). The
+    # images of the target label a reach 5 nodes (d, b): (0, 0), (1, 1),
+    # (1, 0), (2, 1) and (2, 0). The walk graph reaches the 3 nodes
+    # ({1}, v) and the 3 nodes ({2}, v), which form one cycle.
+    q = make_rgp("a", ["b", "a", "c"],
+                 [("a", "b", "a"), ("b", "c", "a"), ("c", "a", "a")])
+    clear_relation_cache()
+    budget = SearchBudget()
+    relation = relation_for_label(q, rx("a+", "a"), budget)
+    assert relation.dfa_states == 3
+    assert budget.nodes == 3 + 5 + 6
+    assert len(relation.pairs) == 9
+
+
+def test_deep_path_relation_needs_no_recursion():
+    # The walk graph of a+ on a 5 000-vertex path is one chain, so a
+    # recursive depth-first search would exceed Python's stack.
+    n = 5000
+    names = [f"p{i}" for i in range(n)]
+    q = make_rgp("a", names, [(names[i], names[i + 1], "a")
+                              for i in range(n - 1)])
+    clear_relation_cache()
+    relation = relation_for_label(q, rx("a+", "a"))
+    assert len(relation.pairs) == n * (n - 1) // 2
+    assert relation.holds("p0", f"p{n - 1}")
+    assert not relation.holds(f"p{n - 1}", "p0")
+    clear_relation_cache()
+
+
+def test_walk_length_bound_spends_the_callers_budget():
+    q = make_rgp("ab", ["u", "v"], [("u", "v", "a")])
+    e = rx("(a|b)*a(a|b)(a|b)")
+    budget = SearchBudget()
+    assert walk_length_bound(q, e, budget) == 2 ** budget.nodes * 2
+    with pytest.raises(BudgetExceededError):
+        walk_length_bound(q, e, SearchBudget(max_nodes=2))
