@@ -117,11 +117,22 @@ def iter_csp_solutions(
     var = {v: i for i, v in enumerate(variables)}
     dom = [sum(1 << index[value] for value in set(domains[v]))
            for v in variables]
+    support = _network(var, values, dom, constraints)
+    if not _propagate(dom, support, range(len(dom)), budget):
+        return
+    yield from _search(dom, support, list(variables), values, {}, budget)
 
+
+def _network(var: dict[str, int], values: Sequence[Value], dom: list[int],
+             constraints: Sequence[Constraint],
+             ) -> list[list[tuple[int, tuple[int, ...]]]]:
+    """The support lists of the constraints over variables numbered by
+    var and the value list values; a constraint on one variable narrows
+    its domain in dom instead."""
     # support[x] lists (y, masks): revising y against x keeps the value
     # b when masks[b] & dom[x] is nonzero. stored holds (i, j, rows) for
     # each relation kept on the unordered pair i < j, oriented from i.
-    support: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in variables]
+    support: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in dom]
     stored: set[tuple[int, int, tuple[int, ...]]] = set()
     for c in constraints:
         allowed = c.allowed
@@ -141,10 +152,7 @@ def iter_csp_solutions(
         stored.add((i, j, rows))
         support[i].append((j, cols))
         support[j].append((i, rows))
-
-    if not _propagate(dom, support, range(len(dom)), budget):
-        return
-    yield from _search(dom, support, list(variables), values, {}, budget)
+    return support
 
 
 def _propagate(dom: list[int], support: list[list[tuple[int, tuple[int, ...]]]],

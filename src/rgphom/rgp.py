@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections import Counter, deque
 from collections.abc import Iterable, Mapping, Sequence
 
@@ -32,6 +32,17 @@ class Rgp:
     alphabet: tuple[str, ...]
     vertices: tuple[str, ...]
     arcs: tuple[Arc, ...]
+    # The hash, computed on the first __hash__ call: hashing recurses
+    # through every arc label, and a target is hashed on each relation
+    # cache lookup, while most patterns are never hashed at all.
+    _hash: int | None = field(default=None, compare=False, repr=False,
+                              init=False)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(
+                self, "_hash", hash((self.alphabet, self.vertices, self.arcs)))
+        return self._hash  # type: ignore[return-value]
 
     def __post_init__(self) -> None:
         if len(set(self.alphabet)) != len(self.alphabet):

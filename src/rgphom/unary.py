@@ -11,12 +11,12 @@ The module covers four layers:
 * the simplification pipeline for directed-path targets whose arcs are
   all 'a' (collapse_levels, prune_plus_arcs) and its reformulation as
   a scheduling feasibility problem solved by shortest paths;
-* the majority-polymorphism route for mixed {a, a+} path targets
-  (median_polymorphism, path_consistency_solve): the median is a
-  majority polymorphism of every directed-path template, so one
-  (2,3)-consistency closure, run as a bitset worklist, leaves a
-  globally consistent network from which the lexicographically first
-  map is read off without search or re-closing.
+* the route for mixed {a, a+} path targets (path_consistency_solve):
+  a greedy arc-consistency probe, exact because both relations of
+  d_of_q are min-closed in path order, with a (2,3)-consistency
+  closure as its fallback, complete under the median majority
+  polymorphism (median_polymorphism).  Both path sub-routes read each
+  witness walk off the path order.
 """
 
 from __future__ import annotations
@@ -27,15 +27,15 @@ from collections import Counter, deque
 from enum import Enum
 from typing import Any, Iterable, Mapping, Sequence
 
-from .csp import (Constraint, _bits, _transpose, iter_csp_solutions,
-                  pair_rows, solve_csp)
+from .csp import (Constraint, _bits, _network, _propagate, _transpose,
+                  iter_csp_solutions, pair_rows, solve_csp)
 from .errors import (
     NotAcyclicError,
     NotBalancedError,
     PreconditionError,
     SearchBudget,
 )
-from .nhom import NHomomorphism, is_n_core, n_hom
+from .nhom import NHomomorphism, is_n_core, label_relations, n_hom
 from .regexes import RegexAst, Sym
 from .rgp import (
     LabelKind,
@@ -45,7 +45,7 @@ from .rgp import (
     make_rgp,
     structural_predicates,
 )
-from .walks import relation_for_label, witness_walks
+from .walks import witness_walks
 
 
 # ---------------------------------------------------------------------------
@@ -814,8 +814,9 @@ def solve_path_template(
     All-'a' targets run collapse -> prune -> scheduling and rebuild the
     map from start times (position k of job C lands on path vertex
     t(C)+k-1). Mixed {a, a+} targets go through the two-labeled
-    reduction and path-consistency. Witness walks come from the walk
-    relation in either case.
+    reduction and path_consistency_solve. In either case each witness
+    walk is the stretch of the path between the images of its arc's
+    ends.
     """
     order = directed_path_order(q)
     if order is None:
@@ -829,12 +830,13 @@ def solve_path_template(
     if not q.vertices:
         return None
 
+    budget = budget or SearchBudget()
     if label_class(q).kind is LabelKind.UNARY_A_APLUS:
         pattern, template = reduce_to_hom(p, q)
         mapping = path_consistency_solve(pattern, template, budget)
         if mapping is None:
             return None
-        return _attach_witnesses(p, q, mapping, budget)
+        return _path_witnesses(p, q, order, mapping, budget)
 
     try:
         collapsed = collapse_levels(p)
@@ -853,13 +855,43 @@ def solve_path_template(
         for k, v in enumerate(path, start=1):
             index[v] = start + k - 1
     mapping = {v: order[index[collapsed.vertex_map[v]]] for v in p.vertices}
-    return _attach_witnesses(p, q, mapping, budget)
+    return _path_witnesses(p, q, order, mapping, budget)
+
+
+def _path_witnesses(p: Rgp, q: Rgp, order: Sequence[str],
+                    mapping: Mapping[str, str],
+                    budget: SearchBudget) -> NHomomorphism:
+    """The certificate of a map into the directed path q, whose vertices
+    run in order: each pattern arc's witness is the stretch of the path
+    from the image of its tail to the image of its head.
+
+    A directed path has no loops and no parallel arcs, so that stretch
+    is the only walk between the two, and the one the walk engine finds.
+    An arc whose stretch is empty, or an 'a' arc whose stretch is not
+    one arc labelled 'a', has no witness: KeyError, as
+    WalkRelation.witness raises on a pair outside its relation.  The
+    budget ticks once per arc of each witness.
+    """
+    position = {v: k for k, v in enumerate(order)}
+    leaving = {arc.src: k for k, arc in enumerate(q.arcs)}
+    along = [leaving[v] for v in order[:-1]]
+    witnesses = {}
+    for i, arc in enumerate(p.arcs):
+        u, v = mapping[arc.src], mapping[arc.dst]
+        walk = tuple(along[position[u]:position[v]])
+        if not walk or (isinstance(arc.label, Sym) and (
+                len(walk) != 1 or q.arcs[walk[0]].label != arc.label)):
+            raise KeyError((u, v))
+        budget.tick(len(walk))
+        witnesses[i] = walk
+    return NHomomorphism(mapping=dict(mapping), witnesses=witnesses)
 
 
 def _attach_witnesses(p, q, mapping, budget) -> NHomomorphism:
-    relations = [relation_for_label(q, arc.label, budget) for arc in p.arcs]
-    return NHomomorphism(mapping=dict(mapping),
-                         witnesses=witness_walks(p, mapping, relations, budget))
+    relations = label_relations(p, q, budget)
+    arc_relations = [relations[arc.label] for arc in p.arcs]
+    return NHomomorphism(mapping=dict(mapping), witnesses=witness_walks(
+        p, mapping, arc_relations, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -928,29 +960,67 @@ def path_consistency_solve(
     """Homomorphism g -> h that is complete whenever h has a majority
     polymorphism.
 
-    The pairwise network (one allowed-value relation per pair of g's
-    vertices, plus domains) is closed once under (2,3)-consistency by a
-    bitset worklist (_PcNetwork.close).  A majority polymorphism of h
-    preserves every relation the closure derives, so the closed network
-    is globally consistent: each partial assignment allowed by all the
-    pairwise relations extends to a solution.  Extraction therefore
-    needs no re-closing: each vertex, in g.vertices order, takes the
-    first value in sorted-name order that every earlier choice allows.
-    The result is the lexicographically first homomorphism, the same
-    one that re-closing after each choice would pick.  Without a
-    majority polymorphism a returned map is still a homomorphism, but
-    None may be a false negative.  The budget ticks once per pair
-    revision.
+    A greedy arc-consistency probe runs first.  Domains are bitmasks
+    over h's vertices in sorted-name order, and the 'a' and 't' arcs of
+    g become bitset constraints, made arc consistent by csp._propagate.
+    An empty domain there means there is no homomorphism.  Otherwise
+    each vertex of g, in g.vertices order, takes the lowest value whose
+    propagation empties no domain.  When every vertex gets one, the map
+    is the lexicographically first homomorphism: arc consistency never
+    rejects that map's value, so a lower value that survives would lead
+    to a smaller homomorphism.  When h is a directed-path template, both
+    of its relations are min-closed in path order, so arc consistency
+    decides every instance (Jeavons and Cooper, AIJ 1995) and the probe
+    never meets a dead end.
+
+    At a dead end the pairwise network (one allowed-value relation per
+    pair of g's vertices, plus domains) is closed once under
+    (2,3)-consistency by a bitset worklist (_PcNetwork.close).  A
+    majority polymorphism of h preserves every relation the closure
+    derives, so the closed network is globally consistent, and the
+    lexicographically first map is read off it without search.  Without
+    a majority polymorphism a returned map is still a homomorphism, but
+    None may be a false negative.  The budget ticks once per arc
+    revision and value tried in the probe, and once per pair revision
+    in the closure.
     """
     budget = budget or SearchBudget()
     if not g.vertices:
         return {}
     if not h.vertices:
         return None
-    net = _PcNetwork(g, h)
-    if not net.close(budget):
+    values = sorted(h.vertices)
+    var = {v: i for i, v in enumerate(g.vertices)}
+    dom = [(1 << len(values)) - 1] * len(g.vertices)
+    # Arcs in sorted order, so that propagation, and with it the
+    # budget's count, is the same in every process.
+    constraints = []
+    for g_arcs, h_arcs in ((g.a_arcs, h.a_arcs), (g.t_arcs, h.t_arcs)):
+        rows = pair_rows(h_arcs, values)
+        constraints += [Constraint(x, y, rows) for x, y in sorted(g_arcs)]
+    support = _network(var, values, dom, constraints)
+    if not all(dom) or not _propagate(dom, support, range(len(dom)), budget):
         return None
-    return net.first_solution()
+    for x in range(len(dom)):
+        rest = dom[x]
+        if not rest & (rest - 1):
+            continue  # one value left, and the network is arc consistent
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            budget.tick()
+            trial = dom[:]
+            trial[x] = low
+            if _propagate(trial, support, (x,), budget):
+                dom = trial
+                break
+        else:
+            net = _PcNetwork(g, h)
+            if not net.close(budget):
+                return None
+            return net.first_solution()
+    return {v: values[mask.bit_length() - 1]
+            for v, mask in zip(g.vertices, dom)}
 
 
 class _PcNetwork:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,9 +13,10 @@ from rgphom.errors import (
     PreconditionError,
     SearchBudget,
 )
+from rgphom import unary
 from rgphom.nhom import n_hom, verify_n_hom
 from rgphom.regexes import Sym
-from rgphom.rgp import make_rgp
+from rgphom.rgp import LabelKind, directed_path_order, label_class, make_rgp
 from rgphom.testkit import random_unary_pattern
 from rgphom.unary import (
     SchedulingInstance,
@@ -38,7 +40,9 @@ from rgphom.unary import (
     solve_undirected_easy,
     to_scheduling,
     _PcNetwork,
+    _path_witnesses,
 )
+from rgphom.walks import relation_for_label
 
 from fixtures import (
     AP,
@@ -493,6 +497,59 @@ def test_path_template_rejects_bad_targets():
                             a_path(3))
 
 
+def _renamed_path(q, rng):
+    # the same path under shuffled names, with vertices and arcs listed
+    # in shuffled order, so that neither sorted-name order nor arc order
+    # follows the path
+    names = dict(zip(q.vertices, rng.sample(q.vertices, len(q.vertices))))
+    arcs = [(names[arc.src], names[arc.dst], arc.label) for arc in q.arcs]
+    rng.shuffle(arcs)
+    return make_rgp(q.alphabet, rng.sample(list(names.values()), len(names)),
+                    arcs)
+
+
+def test_path_witnesses_match_the_walk_relation():
+    routes = Counter()
+    for seed in range(30):
+        rng = random.Random(12000 + seed)
+        p, q = planted_mixed_path(rng, rng.randint(3, 12))
+        if seed % 2:
+            # every 'a' arc of p sits on an 'a' arc, so p maps into the
+            # all-'a' path too, through the scheduling sub-route
+            q = a_path(len(q.vertices))
+        q = _renamed_path(q, rng)
+        routes[label_class(q).kind] += 1
+        cert = solve_path_template(p, q)
+        assert cert is not None, seed
+        f = cert.mapping
+        for i, arc in enumerate(p.arcs):
+            relation = relation_for_label(q, arc.label)
+            assert cert.witnesses[i] == relation.witness(
+                f[arc.src], f[arc.dst]), seed
+    assert routes[LabelKind.UNARY_A_APLUS] >= 10
+    assert routes[LabelKind.ALL_SINGLE_A] >= 10
+
+
+def test_path_witnesses_reject_maps_without_a_witness():
+    q = mixed_path("..+")
+    order = directed_path_order(q)
+    a_arc = make_rgp("a", ["x", "y"], [("x", "y", "a")])
+    plus_arc = make_rgp("a", ["x", "y"], [("x", "y", AP)])
+    assert _path_witnesses(a_arc, q, order, {"x": "q1", "y": "q2"},
+                           SearchBudget()).witnesses == {0: (1,)}
+    assert _path_witnesses(plus_arc, q, order, {"x": "q0", "y": "q3"},
+                           SearchBudget()).witnesses == {0: (0, 1, 2)}
+    corrupted = [
+        (a_arc, {"x": "q2", "y": "q3"}),     # 'a' over an a+ arc
+        (a_arc, {"x": "q0", "y": "q2"}),     # 'a' over two arcs
+        (plus_arc, {"x": "q3", "y": "q1"}),  # backwards
+        (plus_arc, {"x": "q1", "y": "q1"}),  # no nonempty walk
+    ]
+    for p, mapping in corrupted:
+        with pytest.raises(KeyError):
+            _path_witnesses(p, q, order, mapping, SearchBudget())
+
+
 def test_path_template_solver_certificate_spans_components():
     p = make_rgp("a", ["u1", "u2", "u3", "v1", "v2"],
                  [("u1", "u2", "a"), ("u2", "u3", "a"), ("v1", "v2", "a"),
@@ -568,6 +625,54 @@ def test_path_consistency_spends_the_budget():
         path_consistency_solve(g, h, SearchBudget(max_nodes=5))
     with pytest.raises(BudgetExceededError):
         solve_path_template(p, q, SearchBudget(max_nodes=5))
+
+
+def _first_map_of_the_closure(g, h):
+    net = _PcNetwork(g, h)
+    return net.first_solution() if net.close(SearchBudget()) else None
+
+
+def _never_built(*args):
+    raise AssertionError("the probe fell back to the closure")
+
+
+def test_path_consistency_probe_matches_the_closure(monkeypatch):
+    cases = []
+    for n in (8, 16, 24, 40):
+        for seed in range(3):
+            rng = random.Random(11000 + 100 * n + seed)
+            p, q = planted_mixed_path(rng, n)
+            q = _renamed_path(q, rng)
+            cases.append(reduce_to_hom(p, q))
+            # mostly NO: a+ cycles, or 'a' arcs off the path's 'a' arcs
+            p = random_unary_pattern(rng, rng.randint(2, 8), rng.randint(1, 12))
+            cases.append(reduce_to_hom(p, q))
+    expected = [_first_map_of_the_closure(g, h) for g, h in cases]
+    assert 0 < expected.count(None) < len(expected)
+    # on directed-path templates arc consistency decides the instance,
+    # so the probe never falls back
+    monkeypatch.setattr(unary, "_PcNetwork", _never_built)
+    for i, (g, h) in enumerate(cases):
+        assert path_consistency_solve(g, h) == expected[i], i
+
+
+def test_path_consistency_falls_back_to_the_closure(monkeypatch):
+    # a t-triangle into != on two values: arc consistency keeps every
+    # value, every probe dies, and the closure (complete here, as != on
+    # two values has a majority polymorphism) answers NO
+    g = TwoLabeledDigraph(("x", "y", "z"), frozenset(),
+                          frozenset({("x", "y"), ("y", "z"), ("z", "x")}))
+    h = TwoLabeledDigraph(("0", "1"), frozenset(),
+                          frozenset({("0", "1"), ("1", "0")}))
+    built = []
+
+    def network(*args):
+        built.append(args)
+        return _PcNetwork(*args)
+
+    monkeypatch.setattr(unary, "_PcNetwork", network)
+    assert path_consistency_solve(g, h) is None
+    assert len(built) == 1
 
 
 def _closed_by_sweeps(g, h):

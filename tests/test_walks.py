@@ -9,7 +9,7 @@ from rgphom.automata import compile_nfa
 from rgphom.errors import BudgetExceededError, PreconditionError, SearchBudget
 from rgphom import walks
 from rgphom.regexes import parse_regex
-from rgphom.rgp import make_rgp, walk_endpoints
+from rgphom.rgp import make_rgp, parse_rgp, walk_endpoints
 from rgphom.walks import (
     TICK_BATCH, _bits, _Engine, clear_relation_cache, find_walk,
     relation_for_label, walk_length_bound,
@@ -83,6 +83,20 @@ def test_walks_are_deterministic():
     assert first.witnesses == second.witnesses
     # Parallel arcs tie on length; the smaller arc index wins.
     assert first.witnesses[("u", "v")] == (0,)
+
+
+def test_equal_targets_hash_once_and_share_one_relation():
+    doc = {"alphabet": ["a", "b"], "vertices": ["u", "v", "w"],
+           "arcs": [{"from": "u", "to": "v", "label": "a"},
+                    {"from": "v", "to": "w", "label": "b+"}]}
+    first, second = parse_rgp(doc), parse_rgp(doc)
+    # the hash is computed on first use, not when the pattern is built
+    assert first._hash is None and second._hash is None
+    assert hash(first) == hash(second)
+    assert first._hash == second._hash == hash(first)
+    clear_relation_cache()
+    assert relation_for_label(first, rx("ab+")) is relation_for_label(
+        second, rx("ab+"))
 
 
 def _random_instance(seed):
