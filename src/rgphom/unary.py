@@ -41,6 +41,8 @@ from .rgp import (
     LabelKind,
     Rgp,
     directed_path_order,
+    is_connected,
+    is_undirected,
     label_class,
     make_rgp,
     structural_predicates,
@@ -111,6 +113,14 @@ def _require_unary(p: Rgp, role: str) -> str | None:
     return cls.symbol
 
 
+def _require_same_symbol(p: Rgp, q: Rgp) -> None:
+    """Both p and q unary, over one symbol when both have arcs."""
+    sp = _require_unary(p, "pattern")
+    sq = _require_unary(q, "target")
+    if sp is not None and sq is not None and sp != sq:
+        raise PreconditionError(f"mismatched symbols {sp!r} vs {sq!r}")
+
+
 def _split_arcs(p: Rgp) -> tuple[set[tuple[str, str]], set[tuple[str, str]]]:
     """Deduplicated (src, dst) pairs of single-symbol arcs and plus arcs."""
     single, plussed = set(), set()
@@ -157,10 +167,7 @@ def reduce_to_hom(p: Rgp, q: Rgp) -> tuple[TwoLabeledDigraph, TwoLabeledDigraph]
     exactly when a classical labeled homomorphism exists between the
     results.
     """
-    sp = _require_unary(p, "pattern")
-    sq = _require_unary(q, "target")
-    if sp is not None and sq is not None and sp != sq:
-        raise PreconditionError(f"mismatched symbols {sp!r} vs {sq!r}")
+    _require_same_symbol(p, q)
     single, plussed = _split_arcs(p)
     pattern = TwoLabeledDigraph(p.vertices, frozenset(single), frozenset(plussed))
     return pattern, d_of_q(q)
@@ -262,8 +269,7 @@ def audit_undirected_ncore(
          automorphism.
     """
     budget = budget or SearchBudget()
-    report = structural_predicates(q)
-    if not report.is_undirected or not report.is_connected:
+    if not is_undirected(q) or not is_connected(q):
         raise PreconditionError("audit needs an undirected connected pattern")
     _require_unary(q, "template")
     violations: list[Violation] = []
@@ -372,8 +378,10 @@ class TemplateClass:
     odd_cycle: tuple[str, ...] | None = None
 
 
-# Verifying a core claim is cheap below this size; larger templates
-# must vouch for themselves via assume_core.
+# Templates of at most this many vertices are proved cores by is_n_core
+# before they are classified.  Larger ones are taken to be cores
+# unchecked, as with assume_core: only the O(|q|) shape refutations of
+# classify_undirected_template run on them.
 _RECHECK_LIMIT = 8
 
 
@@ -384,9 +392,20 @@ def classify_undirected_template(
 ) -> TemplateClass:
     """Sort an undirected connected core template into its complexity
     class: one of five single-edge-or-less polynomial shapes, or
-    NP-complete with an odd a-cycle as the hardness witness."""
-    report = structural_predicates(q)
-    if not report.is_undirected or not report.is_connected:
+    NP-complete with an odd a-cycle as the hardness witness.
+
+    Unless assume_core is set, a template of at most _RECHECK_LIMIT
+    vertices is first proved a core by is_n_core; a larger one is taken
+    to be a core unchecked.  Two shape refutations run at every size
+    and raise PreconditionError: a loop alongside another edge (audit
+    item b: q retracts onto an 'a' loop, and an a+ loop maps onto a
+    walk through another edge at its vertex), and two or more edges
+    with a bipartite a-subgraph (q retracts onto one of them).  A
+    larger non-core template that passes both has an odd a-cycle, and
+    so does its core: it is reported NP-complete, with the cycle taken
+    from q.
+    """
+    if not is_undirected(q) or not is_connected(q):
         raise PreconditionError("template must be undirected and connected")
     _require_unary(q, "template")
     if not assume_core and len(q.vertices) <= _RECHECK_LIMIT:
@@ -404,6 +423,9 @@ def classify_undirected_template(
             kind = (TemplateKind.POLY_SINGLE_EDGE_A_PLUS if plussed
                     else TemplateKind.POLY_SINGLE_EDGE_A)
         return TemplateClass(kind)
+    if any(u == v for u, v, _ in edges):
+        raise PreconditionError(
+            "template with a loop alongside another edge is not a core")
     cycle = odd_a_cycle(q)
     if cycle is None:
         raise PreconditionError(
@@ -463,8 +485,7 @@ def _close_walk(parent, v, w) -> tuple[str, ...]:
 def solve_undirected_easy(template: TemplateClass, p: Rgp) -> bool:
     """Decide pattern-to-template existence for a polynomial class by
     the matching closed-form test."""
-    report = structural_predicates(p)
-    if not report.is_undirected:
+    if not is_undirected(p):
         raise PreconditionError("pattern must be undirected")
     _require_unary(p, "pattern")
     edges = _undirected_edges(p)
@@ -489,16 +510,34 @@ def easy_certificate(
 ) -> NHomomorphism | None:
     """Certificate companion to solve_undirected_easy: the concrete
     homomorphism behind a positive answer, with witness walks in q."""
+    if template.kind is TemplateKind.POLY_SINGLE_EDGE_A:
+        ends = tuple(sorted({v for arc in q.arcs for v in (arc.src, arc.dst)}))
+    else:
+        ends = q.vertices[:1]
+    return _certificate_onto(template, ends, p, q, budget)
+
+
+def _certificate_onto(
+    template: TemplateClass,
+    ends: Sequence[str],
+    p: Rgp,
+    q: Rgp,
+    budget: SearchBudget | None,
+) -> NHomomorphism | None:
+    """The certificate of p into q through a retract of q in template's
+    class, given by ends: one vertex of it, which every vertex of p
+    maps to, or the two ends of its 'a' edge, onto which p's a-subgraph
+    is 2-coloured, side 0 to ends[0].  The retract is a sub-pattern of
+    q, so its walks are walks of q, and the witnesses come from q's
+    walk relations."""
+    _require_same_symbol(p, q)
     if not solve_undirected_easy(template, p):
         return None
-    kind = template.kind
-    if kind is TemplateKind.POLY_SINGLE_EDGE_A:
-        ends = sorted({v for arc in q.arcs for v in (arc.src, arc.dst)})
+    if len(ends) == 2:
         side, _ = _two_coloring(p)
         mapping = {v: ends[side[v]] for v in p.vertices}
     else:
-        anchor = q.vertices[0]
-        mapping = {v: anchor for v in p.vertices}
+        mapping = {v: ends[0] for v in p.vertices}
     return _attach_witnesses(p, q, mapping, budget)
 
 
@@ -743,7 +782,8 @@ class ScheduleResult:
     negative_cycle: tuple[tuple[str, str, int], ...] | None = None
 
 
-def solve_scheduling(inst: SchedulingInstance) -> ScheduleResult:
+def solve_scheduling(inst: SchedulingInstance,
+                     budget: SearchBudget | None = None) -> ScheduleResult:
     """Feasibility via single-source shortest paths.
 
     Each job's start is bounded by 0 <= t(C) and t(C) <= horizon - d(C),
@@ -751,8 +791,11 @@ def solve_scheduling(inst: SchedulingInstance) -> ScheduleResult:
     All of them become weighted edges from a root pseudo-job; the
     system is feasible exactly when no negative cycle exists, and the
     shortest-path distances (shifted so the root sits at zero) are the
-    componentwise latest valid start times.
+    componentwise latest valid start times.  The budget ticks once per
+    relaxation pass over the edges, the final negative-cycle check
+    included.
     """
+    budget = budget or SearchBudget()
     root = ""
     while root in inst.jobs:
         root += "_"
@@ -765,6 +808,7 @@ def solve_scheduling(inst: SchedulingInstance) -> ScheduleResult:
     dist = {v: 0 if v == root else None for v in nodes}
     pred: dict[str, tuple[str, str, int] | None] = {v: None for v in nodes}
     for _ in range(len(nodes) - 1):
+        budget.tick()
         changed = False
         for u, v, w in edges:
             if dist[u] is not None and (dist[v] is None or dist[u] + w < dist[v]):
@@ -773,6 +817,7 @@ def solve_scheduling(inst: SchedulingInstance) -> ScheduleResult:
                 changed = True
         if not changed:
             break
+    budget.tick()
     for u, v, w in edges:
         if dist[u] is not None and (dist[v] is None or dist[u] + w < dist[v]):
             return ScheduleResult(False, negative_cycle=_extract_cycle(pred, u, v, w, nodes))
@@ -821,10 +866,7 @@ def solve_path_template(
     order = directed_path_order(q)
     if order is None:
         raise PreconditionError("target is not a directed path")
-    sq = _require_unary(q, "target")
-    sp = _require_unary(p, "pattern")
-    if sp is not None and sq is not None and sp != sq:
-        raise PreconditionError(f"mismatched symbols {sp!r} vs {sq!r}")
+    _require_same_symbol(p, q)
     if not p.vertices:
         return NHomomorphism({}, {})
     if not q.vertices:
@@ -845,7 +887,7 @@ def solve_path_template(
     pruned = prune_plus_arcs(collapsed)
     if pruned is None:
         return None
-    result = solve_scheduling(to_scheduling(pruned, len(q.vertices)))
+    result = solve_scheduling(to_scheduling(pruned, len(q.vertices)), budget)
     if not result.feasible:
         return None
     paths = _component_paths(pruned)

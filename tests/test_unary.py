@@ -229,6 +229,22 @@ def test_classify_rejects_non_core():
         classify_undirected_template(p3, assume_core=True)
 
 
+def test_classify_refutes_a_loop_alongside_other_vertices_at_every_size():
+    # Nine vertices, above the core recheck limit: the template retracts
+    # onto its loop, so it is no core, checked or not.
+    names = [f"v{i}" for i in range(9)]
+    q = undirected_template(list(zip(names, names[1:])), loops=["v0"])
+    assert len(q.vertices) > unary._RECHECK_LIMIT
+    with pytest.raises(PreconditionError):
+        classify_undirected_template(q)
+    with pytest.raises(PreconditionError):
+        classify_undirected_template(q, assume_core=True)
+    # an a+ loop beside an 'a' edge is as redundant as an 'a' loop
+    small = undirected_template([("u", "v")], plus_loops=["u"])
+    with pytest.raises(PreconditionError):
+        classify_undirected_template(small, assume_core=True)
+
+
 def test_classify_requires_undirected_connected():
     with pytest.raises(PreconditionError):
         classify_undirected_template(alternating_path())
@@ -386,6 +402,19 @@ def test_scheduling_worked_example_latest_starts():
     result = solve_scheduling(inst)
     assert result.feasible
     assert result.start_times == {"C1": 0, "C2": 2}
+
+
+def test_scheduling_ticks_once_per_relaxation_pass():
+    inst = SchedulingInstance(jobs=("C1", "C2"),
+                              durations={"C1": 2, "C2": 1},
+                              constraints=(("C1", "C2", -2),),
+                              horizon=3)
+    budget = SearchBudget()
+    assert solve_scheduling(inst, budget).feasible
+    # at most |jobs| passes of relaxation, then the negative-cycle check
+    assert 2 <= budget.nodes <= len(inst.jobs) + 1
+    with pytest.raises(BudgetExceededError):
+        solve_scheduling(inst, SearchBudget(max_nodes=1))
 
 
 def test_scheduling_infeasible_has_negative_cycle():
