@@ -95,6 +95,7 @@ from .unary import (
     reduce_to_hom,
     solve_path_template,
     solve_scheduling,
+    solve_undirected,
     solve_undirected_easy,
     to_scheduling,
 )

@@ -6,8 +6,10 @@ along any nonempty walk, which is exactly reachability in the target.
 The module covers four layers:
 
 * the reduction itself (d_of_q, reduce_to_hom, hom_two_labeled);
-* structural audits and the dichotomy classifier for undirected,
-  connected core templates, plus the polynomial-case solvers;
+* undirected, connected templates: one set of shape tests (_retract)
+  names the class of core(Q) and a retract of Q in it, and serves the
+  undirected route (solve_undirected), the dichotomy classifier and
+  the certificates of the polynomial cases; plus the core audit;
 * the simplification pipeline for directed-path targets whose arcs are
   all 'a' (collapse_levels, prune_plus_arcs) and its reformulation as
   a scheduling feasibility problem solved by shortest paths;
@@ -385,6 +387,64 @@ class TemplateClass:
 _RECHECK_LIMIT = 8
 
 
+def _retract(q: Rgp, budget: SearchBudget) -> tuple[TemplateKind, tuple[str, ...]]:
+    """The class of core(q) from O(|q|) shape tests, with the vertices
+    of a retract of q in that class (one vertex, or the two ends of an
+    'a' edge), or with an odd a-cycle of q for NP_COMPLETE.
+
+    PreconditionError unless q is an undirected, connected, nonempty
+    unary template.  The budget ticks once, by |V(q)| + |A(q)|.  No test
+    checks whether q is a core: Hom(P, q) holds exactly when
+    Hom(P, core(q)) does.  In order:
+
+    1. An 'a' loop at w: q retracts onto the loop.
+    2. An odd a-cycle of length 3 or more: so has core(q), NP-complete.
+    3. A bipartite a-subgraph with an 'a' edge: q retracts onto its
+       first 'a' edge in sorted order, each a-component 2-coloured onto
+       its ends and each a+ edge sent back and forth along it.
+    4. No 'a' edge: q retracts onto its first a+ loop or onto an a+ edge
+       at its first vertex, or is a single bare vertex.
+    """
+    if not q.vertices or not is_undirected(q) or not is_connected(q):
+        raise PreconditionError(
+            "template must be undirected, connected and nonempty")
+    _require_unary(q, "template")
+    budget.tick(len(q.vertices) + len(q.arcs))
+    _, odd = _two_coloring(q)
+    if odd is not None:
+        if len(odd) == 1:
+            return TemplateKind.POLY_LOOP_A, odd
+        return TemplateKind.NP_COMPLETE, odd
+    for u, v, plussed in _undirected_edges(q):
+        if not plussed:
+            return TemplateKind.POLY_SINGLE_EDGE_A, (u, v)
+    loops = tuple(arc.src for arc in q.arcs if arc.src == arc.dst)
+    if loops:
+        return TemplateKind.POLY_LOOP_A_PLUS, loops[:1]
+    if q.arcs:
+        return TemplateKind.POLY_SINGLE_EDGE_A_PLUS, q.vertices[:1]
+    return TemplateKind.POLY_SINGLE_VERTEX_NO_LOOP, q.vertices[:1]
+
+
+def solve_undirected(
+    p: Rgp,
+    q: Rgp,
+    budget: SearchBudget | None = None,
+) -> NHomomorphism | None:
+    """Polynomial solver for undirected targets: the certificate of p
+    into the retract of q that the shape tests of _retract name, or
+    None.  PreconditionError when q is not an undirected, connected,
+    nonempty unary template or has an odd a-cycle, or when p is not an
+    undirected unary pattern over q's symbol."""
+    budget = budget or SearchBudget()
+    kind, ends = _retract(q, budget)
+    if kind is TemplateKind.NP_COMPLETE:
+        raise PreconditionError(
+            "template has an odd a-cycle: outside the polynomial classes")
+    budget.tick(len(p.vertices) + len(p.arcs))
+    return _certificate_onto(kind, ends, p, q, budget)
+
+
 def classify_undirected_template(
     q: Rgp,
     assume_core: bool = False,
@@ -403,34 +463,24 @@ def classify_undirected_template(
     with a bipartite a-subgraph (q retracts onto one of them).  A
     larger non-core template that passes both has an odd a-cycle, and
     so does its core: it is reported NP-complete, with the cycle taken
-    from q.
+    from q.  The class itself is the one _retract reads off q's shape,
+    which refuses an empty template.
     """
-    if not is_undirected(q) or not is_connected(q):
-        raise PreconditionError("template must be undirected and connected")
-    _require_unary(q, "template")
+    budget = budget or SearchBudget()
+    kind, ends = _retract(q, budget)
     if not assume_core and len(q.vertices) <= _RECHECK_LIMIT:
         if not is_n_core(q, budget).is_core:
             raise PreconditionError("template is not a core")
     edges = _undirected_edges(q)
-    if len(edges) == 0:
-        return TemplateClass(TemplateKind.POLY_SINGLE_VERTEX_NO_LOOP)
-    if len(edges) == 1:
-        u, v, plussed = edges[0]
-        if u == v:
-            kind = (TemplateKind.POLY_LOOP_A_PLUS if plussed
-                    else TemplateKind.POLY_LOOP_A)
-        else:
-            kind = (TemplateKind.POLY_SINGLE_EDGE_A_PLUS if plussed
-                    else TemplateKind.POLY_SINGLE_EDGE_A)
-        return TemplateClass(kind)
-    if any(u == v for u, v, _ in edges):
+    if len(edges) > 1 and any(u == v for u, v, _ in edges):
         raise PreconditionError(
             "template with a loop alongside another edge is not a core")
-    cycle = odd_a_cycle(q)
-    if cycle is None:
+    if kind is TemplateKind.NP_COMPLETE:
+        return TemplateClass(kind, odd_cycle=ends)
+    if len(edges) > 1:
         raise PreconditionError(
             "multi-edge template with bipartite a-subgraph is not a core")
-    return TemplateClass(TemplateKind.NP_COMPLETE, odd_cycle=cycle)
+    return TemplateClass(kind)
 
 
 def odd_a_cycle(q: Rgp) -> tuple[str, ...] | None:
@@ -482,24 +532,29 @@ def _close_walk(parent, v, w) -> tuple[str, ...]:
     return tuple(reversed(up_v)) + tuple(up_w[:-1])
 
 
-def solve_undirected_easy(template: TemplateClass, p: Rgp) -> bool:
-    """Decide pattern-to-template existence for a polynomial class by
-    the matching closed-form test."""
+def _sides(kind: TemplateKind, p: Rgp) -> dict[str, int] | None:
+    """The end of a retract in class kind that each vertex of p maps
+    to (index 0 or 1 into its vertices), or None when p has no map into
+    that class."""
     if not is_undirected(p):
         raise PreconditionError("pattern must be undirected")
     _require_unary(p, "pattern")
-    edges = _undirected_edges(p)
-    kind = template.kind
-    if kind is TemplateKind.POLY_SINGLE_VERTEX_NO_LOOP:
-        return not edges
-    if kind is TemplateKind.POLY_LOOP_A:
-        return True
-    if kind in (TemplateKind.POLY_LOOP_A_PLUS,
-                TemplateKind.POLY_SINGLE_EDGE_A_PLUS):
-        return all(plussed for _, _, plussed in edges)
+    if kind is TemplateKind.NP_COMPLETE:
+        raise PreconditionError(f"{kind.value} is not a polynomial class")
     if kind is TemplateKind.POLY_SINGLE_EDGE_A:
-        return odd_a_cycle(p) is None
-    raise PreconditionError(f"{kind.value} is not a polynomial class")
+        return _two_coloring(p)[0]
+    if kind is TemplateKind.POLY_SINGLE_VERTEX_NO_LOOP:
+        fits = not p.arcs
+    else:
+        fits = kind is TemplateKind.POLY_LOOP_A or all(
+            not isinstance(arc.label, Sym) for arc in p.arcs)
+    return dict.fromkeys(p.vertices, 0) if fits else None
+
+
+def solve_undirected_easy(template: TemplateClass, p: Rgp) -> bool:
+    """Decide pattern-to-template existence for a polynomial class by
+    the matching closed-form test."""
+    return _sides(template.kind, p) is not None
 
 
 def easy_certificate(
@@ -509,36 +564,38 @@ def easy_certificate(
     budget: SearchBudget | None = None,
 ) -> NHomomorphism | None:
     """Certificate companion to solve_undirected_easy: the concrete
-    homomorphism behind a positive answer, with witness walks in q."""
-    if template.kind is TemplateKind.POLY_SINGLE_EDGE_A:
-        ends = tuple(sorted({v for arc in q.arcs for v in (arc.src, arc.dst)}))
-    else:
-        ends = q.vertices[:1]
-    return _certificate_onto(template, ends, p, q, budget)
+    homomorphism behind a positive answer, with witness walks in q.
+    PreconditionError when template is not the class of q's shape."""
+    budget = budget or SearchBudget()
+    kind, ends = _retract(q, budget)
+    if kind is not template.kind:
+        raise PreconditionError(
+            f"template is {kind.value}, not {template.kind.value}")
+    return _certificate_onto(kind, ends, p, q, budget)
 
 
 def _certificate_onto(
-    template: TemplateClass,
+    kind: TemplateKind,
     ends: Sequence[str],
     p: Rgp,
     q: Rgp,
-    budget: SearchBudget | None,
+    budget: SearchBudget,
 ) -> NHomomorphism | None:
-    """The certificate of p into q through a retract of q in template's
-    class, given by ends: one vertex of it, which every vertex of p
+    """The certificate of p into q through a retract of q in class kind,
+    given by ends: one vertex of it, which every vertex of p
     maps to, or the two ends of its 'a' edge, onto which p's a-subgraph
     is 2-coloured, side 0 to ends[0].  The retract is a sub-pattern of
     q, so its walks are walks of q, and the witnesses come from q's
     walk relations."""
     _require_same_symbol(p, q)
-    if not solve_undirected_easy(template, p):
+    side = _sides(kind, p)
+    if side is None:
         return None
-    if len(ends) == 2:
-        side, _ = _two_coloring(p)
-        mapping = {v: ends[side[v]] for v in p.vertices}
-    else:
-        mapping = {v: ends[0] for v in p.vertices}
-    return _attach_witnesses(p, q, mapping, budget)
+    mapping = {v: ends[side[v]] for v in p.vertices}
+    relations = label_relations(p, q, budget)
+    arc_relations = [relations[arc.label] for arc in p.arcs]
+    return NHomomorphism(mapping=mapping, witnesses=witness_walks(
+        p, mapping, arc_relations, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -596,12 +653,13 @@ def collapse_levels(p: Rgp) -> CollapsedPattern:
     if levels is None:
         raise NotBalancedError("a-subgraph admits no leveling")
 
-    comp_of = _component_index(p)
+    comp_of: dict[str, int] = {}
     vertex_map: dict[str, str] = {}
     merged_order: list[str] = []
-    for component in _vertex_a_components(p):
+    for i, component in enumerate(_vertex_a_components(p)):
         groups: dict[int, str] = {}
         for v in component:
+            comp_of[v] = i
             rep = groups.setdefault(levels[v], v)
             vertex_map[v] = rep
         for level in sorted(groups):
@@ -625,18 +683,11 @@ def collapse_levels(p: Rgp) -> CollapsedPattern:
     return CollapsedPattern(rgp=merged, vertex_map=vertex_map)
 
 
-def _component_index(p: Rgp) -> dict[str, int]:
-    index = {}
-    for i, component in enumerate(_vertex_a_components(p)):
-        for v in component:
-            index[v] = i
-    return index
-
-
 def _component_paths(p: Rgp) -> list[list[str]]:
     """The a-components of p, each required to be a directed path,
     listed source to sink."""
-    comp_of = _component_index(p)
+    components = _vertex_a_components(p)
+    comp_of = {v: i for i, members in enumerate(components) for v in members}
     succ: dict[str, str] = {}
     indeg: Counter[str] = Counter()
     for arc in p.arcs:
@@ -647,7 +698,7 @@ def _component_paths(p: Rgp) -> list[list[str]]:
         succ[arc.src] = arc.dst
         indeg[arc.dst] += 1
     paths = []
-    for component in _vertex_a_components(p):
+    for component in components:
         starts = [v for v in component if indeg[v] == 0]
         if len(starts) != 1:
             raise PreconditionError("a-component is not a directed path")
@@ -927,13 +978,6 @@ def _path_witnesses(p: Rgp, q: Rgp, order: Sequence[str],
         budget.tick(len(walk))
         witnesses[i] = walk
     return NHomomorphism(mapping=dict(mapping), witnesses=witnesses)
-
-
-def _attach_witnesses(p, q, mapping, budget) -> NHomomorphism:
-    relations = label_relations(p, q, budget)
-    arc_relations = [relations[arc.label] for arc in p.arcs]
-    return NHomomorphism(mapping=dict(mapping), witnesses=witness_walks(
-        p, mapping, arc_relations, budget))
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,18 @@ def undirected_template(edges, loops=(), plus_edges=(), plus_loops=()) -> Rgp:
     return make_rgp("a", seen, arcs)
 
 
+def poly_core_templates() -> list[Rgp]:
+    """One core template of each polynomial undirected class: a bare
+    vertex, an 'a' loop, an a+ loop, an 'a' edge and an a+ edge."""
+    return [
+        make_rgp("a", ["v"], []),
+        undirected_template([], loops=["v"]),
+        undirected_template([], plus_loops=["v"]),
+        undirected_template([("u", "v")]),
+        undirected_template([], plus_edges=[("u", "v")]),
+    ]
+
+
 __all__ = [
     "AP",
     "a_path",
@@ -192,6 +204,7 @@ __all__ = [
     "mixed_path",
     "mycielski_fixture",
     "plus_cycle",
+    "poly_core_templates",
     "three_component_pattern",
     "two_label_pair",
     "undirected_template",

@@ -200,6 +200,14 @@ def test_classify_rejects_directed_targets(runner):
     assert code == 2
 
 
+def test_classify_refuses_an_empty_template(runner):
+    _, run, tmp_path = runner
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"alphabet": ["a"], "vertices": [], "arcs": []}))
+    code, out = run("classify", str(path))
+    assert code == 2 and out == ""
+
+
 def test_gadget_inclusion_output(runner):
     _, run, _ = runner
     code, out = run("gadget", "inclusion", "a", "a|b", "--alphabet", "ab")

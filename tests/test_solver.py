@@ -14,6 +14,7 @@ from rgphom.rgp import make_rgp
 from rgphom.solver import ROUTES
 from rgphom.testkit import oracle_n_hom, random_unary_pattern
 from rgphom.unary import (
+    TemplateKind,
     classify_undirected_template,
     easy_certificate,
     solve_path_template,
@@ -23,6 +24,7 @@ from fixtures import (
     a_path,
     mycielski_fixture,
     planted_mixed_path,
+    poly_core_templates,
     two_label_pair,
     undirected_template,
 )
@@ -58,11 +60,23 @@ def test_routes_match_the_functions_behind_them():
     p, q = planted_mixed_path(random.Random(16), 16)
     assert solve(p, q) == (solve_path_template(p, q), "path")
 
-    p = undirected_template([("x", "y"), ("y", "z")])
-    q = undirected_template([("u", "v")])
-    expected = easy_certificate(classify_undirected_template(q), p, q)
-    assert solve(p, q) == (expected, "undirected")
-    assert solve(p, q, "undirected") == (expected, "undirected")
+    patterns = [
+        make_rgp("a", ["x"], []),
+        undirected_template([("x", "y"), ("y", "z")]),
+        undirected_template([], plus_edges=[("x", "y"), ("y", "z")]),
+        undirected_template([("x", "y")], plus_loops=["y"]),
+    ]
+    for q in poly_core_templates():
+        template = classify_undirected_template(q)
+        for p in patterns:
+            expected = easy_certificate(template, p, q)
+            assert solve(p, q, "undirected") == (expected, "undirected")
+            # "auto" takes the path route on the bare vertex, a path
+            assert (solve(p, q)[0] is None) == (expected is None)
+    p = patterns[1]
+    assert classify_undirected_template(K3).kind is TemplateKind.NP_COMPLETE
+    with pytest.raises(PreconditionError):
+        solve(p, K3, "undirected")
 
     p, q = two_label_pair()
     for route in ("auto", "general"):

@@ -20,6 +20,7 @@ from rgphom.rgp import LabelKind, directed_path_order, label_class, make_rgp
 from rgphom.testkit import random_unary_pattern
 from rgphom.unary import (
     SchedulingInstance,
+    TemplateClass,
     TemplateKind,
     TwoLabeledDigraph,
     audit_undirected_ncore,
@@ -51,6 +52,7 @@ from fixtures import (
     mixed_path,
     mycielski_fixture,
     planted_mixed_path,
+    poly_core_templates,
     three_component_pattern,
     undirected_template,
 )
@@ -270,19 +272,9 @@ def test_odd_a_cycle_shapes():
 # Easy solvers for polynomial templates
 
 
-def _poly_templates():
-    return [
-        make_rgp("a", ["v"], []),
-        undirected_template([], loops=["v"]),
-        undirected_template([], plus_loops=["v"]),
-        undirected_template([("u", "v")]),
-        undirected_template([], plus_edges=[("u", "v")]),
-    ]
-
-
 def test_easy_solver_agrees_with_general():
     templates = [(classify_undirected_template(q), q)
-                 for q in _poly_templates()]
+                 for q in poly_core_templates()]
     for seed in range(30):
         rng = random.Random(2000 + seed)
         p = random_unary_pattern(rng, rng.randint(1, 4), rng.randint(0, 5),
@@ -305,6 +297,27 @@ def test_easy_solver_odd_even_cycle_against_edge():
     odd = undirected_template([("t0", "t1"), ("t1", "t2"), ("t2", "t0")])
     assert solve_undirected_easy(template, even)
     assert not solve_undirected_easy(template, odd)
+
+
+def test_an_empty_template_is_refused():
+    q = make_rgp("a", [], [])
+    for assume_core in (False, True):
+        with pytest.raises(PreconditionError):
+            classify_undirected_template(q, assume_core=assume_core)
+    p = make_rgp("a", ["x"], [])
+    with pytest.raises(PreconditionError):
+        easy_certificate(
+            TemplateClass(TemplateKind.POLY_SINGLE_VERTEX_NO_LOOP), p, q)
+
+
+def test_easy_certificate_refuses_a_class_the_template_does_not_have():
+    p = undirected_template([("x", "y")])
+    k3 = undirected_template([("u", "v"), ("v", "w"), ("w", "u")])
+    with pytest.raises(PreconditionError):
+        easy_certificate(TemplateClass(TemplateKind.POLY_SINGLE_EDGE_A), p, k3)
+    k2 = undirected_template([("u", "v")])
+    with pytest.raises(PreconditionError):
+        easy_certificate(TemplateClass(TemplateKind.POLY_LOOP_A), p, k2)
 
 
 def test_easy_solver_requires_undirected_pattern():
