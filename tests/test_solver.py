@@ -10,7 +10,7 @@ import pytest
 from rgphom import nhom, solve, unary
 from rgphom.errors import BudgetExceededError, PreconditionError, SearchBudget
 from rgphom.nhom import n_hom, verify_n_hom
-from rgphom.rgp import make_rgp
+from rgphom.rgp import directed_path_order, make_rgp
 from rgphom.solver import ROUTES
 from rgphom.testkit import oracle_n_hom, random_unary_pattern
 from rgphom.unary import (
@@ -66,13 +66,23 @@ def test_routes_match_the_functions_behind_them():
         undirected_template([], plus_edges=[("x", "y"), ("y", "z")]),
         undirected_template([("x", "y")], plus_loops=["y"]),
     ]
-    for q in poly_core_templates():
+    templates = poly_core_templates()
+    # only the bare vertex is a directed path
+    assert [directed_path_order(q) is not None for q in templates] == [
+        True, False, False, False, False]
+    for q in templates:
         template = classify_undirected_template(q)
         for p in patterns:
             expected = easy_certificate(template, p, q)
             assert solve(p, q, "undirected") == (expected, "undirected")
-            # "auto" takes the path route on the bare vertex, a path
-            assert (solve(p, q)[0] is None) == (expected is None)
+            if directed_path_order(q) is None:
+                assert solve(p, q) == (expected, "undirected")
+            else:
+                # the bare vertex is a directed path: "auto" takes the
+                # path route there
+                cert, used = solve(p, q)
+                assert used == "path"
+                assert (cert is None) == (expected is None)
     p = patterns[1]
     assert classify_undirected_template(K3).kind is TemplateKind.NP_COMPLETE
     with pytest.raises(PreconditionError):
