@@ -22,6 +22,7 @@ from typing import Iterable
 
 from .errors import TICK_BATCH, SearchBudget
 from .regexes import Concat, RegexAst, Star, Sym, Union
+from .rgp import _reach
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ class _Builder:
         eps: list[set[int]] = [set() for _ in range(self.count)]
         for a, b in self.eps_edges:
             eps[a].add(b)
-        closures = [_closure(eps, q) for q in range(self.count)]
+        closures = [_reach(eps, (q,)) for q in range(self.count)]
 
         accepting = set(accepts)
         raw: list[dict[str, set[int]]] = [{} for _ in range(self.count)]
@@ -135,17 +136,6 @@ class _Builder:
             trans=trans,
             alphabet=alphabet,
         )
-
-
-def _closure(eps: list[set[int]], start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nxt in eps[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
 
 
 def nfa_accepts(nfa: Nfa, word: str) -> bool:
@@ -234,17 +224,10 @@ def prefix_closure(nfa: Nfa) -> Nfa:
         for targets in nfa.trans[q].values():
             for t in targets:
                 reverse[t].add(q)
-    live = set(nfa.accepting)
-    stack = list(live)
-    while stack:
-        for q in reverse[stack.pop()]:
-            if q not in live:
-                live.add(q)
-                stack.append(q)
     return Nfa(
         n_states=nfa.n_states,
         initial=nfa.initial,
-        accepting=frozenset(live),
+        accepting=frozenset(_reach(reverse, nfa.accepting)),
         trans=nfa.trans,
         alphabet=nfa.alphabet,
     )

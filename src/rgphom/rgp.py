@@ -248,20 +248,24 @@ def is_undirected(p: Rgp) -> bool:
 
 
 def is_connected(p: Rgp) -> bool:
-    if len(p.vertices) <= 1:
-        return True
     neighbors: dict[str, set[str]] = {v: set() for v in p.vertices}
     for arc in p.arcs:
         neighbors[arc.src].add(arc.dst)
         neighbors[arc.dst].add(arc.src)
-    seen = {p.vertices[0]}
-    queue = deque(seen)
-    while queue:
-        for w in neighbors[queue.popleft()]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(p.vertices)
+    return len(_reach(neighbors, p.vertices[:1])) == len(p.vertices)
+
+
+def _reach(successors, starts) -> set:
+    """Every node reachable from starts, the starts included;
+    successors[x] lists the successors of x."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for y in successors[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
 
 
 def _is_acyclic(p: Rgp) -> bool:

@@ -42,12 +42,14 @@ from .regexes import RegexAst, Sym
 from .rgp import (
     LabelKind,
     Rgp,
+    _is_acyclic,
+    _leveling,
+    _reach,
     directed_path_order,
     is_connected,
     is_undirected,
     label_class,
     make_rgp,
-    structural_predicates,
 )
 from .walks import witness_walks
 
@@ -139,18 +141,8 @@ def _reachable_pairs(p: Rgp) -> frozenset[tuple[str, str]]:
     out: dict[str, set[str]] = {v: set() for v in p.vertices}
     for arc in p.arcs:
         out[arc.src].add(arc.dst)
-    pairs = set()
-    for start in p.vertices:
-        frontier = deque(out[start])
-        seen = set(out[start])
-        while frontier:
-            v = frontier.popleft()
-            pairs.add((start, v))
-            for w in out[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-    return frozenset(pairs)
+    return frozenset((start, v) for start in p.vertices
+                     for v in _reach(out, out[start]))
 
 
 def d_of_q(q: Rgp) -> TwoLabeledDigraph:
@@ -289,10 +281,18 @@ def audit_undirected_ncore(
             witness=u))
 
     if not loops:
-        for u, v, plussed in edges:
+        for dropped in edges:
+            u, v, plussed = dropped
             if not plussed:
                 continue
-            if _connected_without(q.vertices, edges, (u, v, plussed)):
+            # dropped is a bridge unless u still reaches v without it.
+            adj: dict[str, set[str]] = {x: set() for x in q.vertices}
+            for edge in edges:
+                if edge != dropped:
+                    x, y, _ = edge
+                    adj[x].add(y)
+                    adj[y].add(x)
+            if v in _reach(adj, (u,)):
                 violations.append(Violation(
                     "c", f"a+ edge {u!r}--{v!r} is not a bridge",
                     witness=(u, v)))
@@ -321,28 +321,6 @@ def audit_undirected_ncore(
                 "endomorphism fixing its a+ anchors",
                 witness=bad))
     return violations
-
-
-def _connected_without(vertices, edges, dropped) -> bool:
-    """Are dropped's endpoints still connected once it is removed?"""
-    adj: dict[str, set[str]] = {v: set() for v in vertices}
-    for edge in edges:
-        if edge == dropped:
-            continue
-        u, v, _ = edge
-        adj[u].add(v)
-        adj[v].add(u)
-    u, v, _ = dropped
-    stack, seen = [u], {u}
-    while stack:
-        x = stack.pop()
-        if x == v:
-            return True
-        for w in adj[x]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return False
 
 
 def _non_bijective_endo(
@@ -613,24 +591,18 @@ class CollapsedPattern:
 
 def _vertex_a_components(p: Rgp) -> list[list[str]]:
     """Components of the spanning a-edge subgraph, isolated vertices
-    included, each listed in p.vertices order."""
+    included, each listed in p.vertices order and ordered by its first
+    member."""
     adj = _a_edge_adjacency(p)
-    seen: set[str] = set()
-    components = []
+    root_of: dict[str, str] = {}
     for root in p.vertices:
-        if root in seen:
-            continue
-        members = {root}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in members:
-                    members.add(w)
-                    stack.append(w)
-        seen |= members
-        components.append([v for v in p.vertices if v in members])
-    return components
+        if root not in root_of:
+            for v in _reach(adj, (root,)):
+                root_of[v] = root
+    components: dict[str, list[str]] = {}
+    for v in p.vertices:
+        components.setdefault(root_of[v], []).append(v)
+    return list(components.values())
 
 
 def collapse_levels(p: Rgp) -> CollapsedPattern:
@@ -645,11 +617,11 @@ def collapse_levels(p: Rgp) -> CollapsedPattern:
     The a-subgraph must admit a leveling, else NotBalancedError.
     """
     _require_unary(p, "pattern")
-    if not structural_predicates(p).is_acyclic:
+    if not _is_acyclic(p):
         raise NotAcyclicError("pattern has a directed cycle")
     a_arcs = [(a.src, a.dst, "a") for a in p.arcs if isinstance(a.label, Sym)]
     a_sub = make_rgp(("a",), p.vertices, a_arcs)
-    levels = structural_predicates(a_sub).levels
+    levels, _ = _leveling(a_sub)
     if levels is None:
         raise NotBalancedError("a-subgraph admits no leveling")
 

@@ -54,7 +54,7 @@ from .automata import Nfa, compile_nfa, determinize
 from .csp import Rows, _bits
 from .errors import TICK_BATCH, PreconditionError, SearchBudget
 from .regexes import RegexAst
-from .rgp import Rgp
+from .rgp import Rgp, _reach
 
 
 def _condense(starts: Iterable[int],
@@ -151,12 +151,7 @@ class _Engine:
         for d, row in enumerate(self.dfa.delta):
             for d2 in row.values():
                 into[d2].add(d)
-        live = set(self.dfa.accepting)
-        stack = list(live)
-        while stack:
-            for d in into[stack.pop()] - live:
-                live.add(d)
-                stack.append(d)
+        live = _reach(into, self.dfa.accepting)
         self.dead = sum(1 << s for s in range(self.dfa.n_states)
                         if s not in live)
         # out[v] lists (arc index, dst index, label id) in arc order.
@@ -318,7 +313,6 @@ class WalkRelation(Rows):
     names: tuple[str, ...]
     dfa_states: int
     _engine: _Engine = field(repr=False, compare=False)
-    _position: dict[str, int] = field(repr=False, compare=False)
     _walks: dict[tuple[str, str], tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -332,8 +326,9 @@ class WalkRelation(Rows):
 
     def holds(self, u: str, v: str) -> bool:
         """Whether (u, v) is a pair of the relation."""
-        i = self._position.get(u)
-        j = self._position.get(v)
+        index = self._engine.index
+        i = index.get(u)
+        j = index.get(v)
         return i is not None and j is not None and bool(self.rows[i] >> j & 1)
 
     def witness(self, u: str, v: str,
@@ -441,8 +436,7 @@ def relation_for_label(
     rows, cols = engine.rows(use_budget)
     relation = WalkRelation(label=e, target=q, names=engine.names,
                             rows=tuple(rows), cols=tuple(cols),
-                            dfa_states=engine.dfa.n_states, _engine=engine,
-                            _position=engine.index)
+                            dfa_states=engine.dfa.n_states, _engine=engine)
     _relation_cache[key] = relation
     return relation
 

@@ -8,6 +8,8 @@ reference_determinize and reference_inclusion are the frozenset subset
 construction and the breadth-first search over the full DFA product
 that the bitmask determinize and the on-the-fly inclusion search
 replaced; they return the same DFA and the same counterexample word.
+union_find_components is the union-find that connectivity checks are
+compared against; it shares no search with the library.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 from rgphom.automata import Dfa, Nfa, compile_nfa, determinize
 from rgphom.languages import concat_inclusion
 from rgphom.regexes import Concat, RegexAst, Star, Sym, Union
-from rgphom.rgp import Rgp
+from rgphom.rgp import Arc, Rgp
 
 
 def words_of(node: RegexAst, limit: int) -> set[str]:
@@ -267,3 +269,37 @@ def reference_csp(variables: Sequence[str],
 
     if propagate(list(variables)):
         yield from search({})
+
+
+def union_find_components(vertices: Sequence[str],
+                          edges: Iterable[tuple[str, str]]) -> list[list[str]]:
+    """The connected components of the undirected graph on vertices with
+    the given edges, by union-find with path halving: each component in
+    vertices order, the components ordered by their first member."""
+    parent = {v: v for v in vertices}
+
+    def find(v: str) -> str:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in edges:
+        parent[find(u)] = find(v)
+    components: dict[str, list[str]] = {}
+    for v in vertices:
+        components.setdefault(find(v), []).append(v)
+    return list(components.values())
+
+
+def shuffle_names(p: Rgp, rng) -> Rgp:
+    """p with its vertices renamed by a random permutation of their
+    names and declared in a random order."""
+    names = list(p.vertices)
+    rng.shuffle(names)
+    rename = dict(zip(p.vertices, names))
+    order = list(names)
+    rng.shuffle(order)
+    return Rgp(p.alphabet, tuple(order),
+               tuple(Arc(rename[a.src], rename[a.dst], a.label)
+                     for a in p.arcs))

@@ -1,17 +1,20 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from rgphom.errors import PreconditionError, RgpSchemaError
 from rgphom.regexes import Concat, Star, Sym, parse_regex, plus
 from rgphom.rgp import (
     Arc, LabelKind, Rgp, delete_arc, delete_vertex, directed_path_order, export_dot,
-    is_graph_database, is_walk, label_class, make_rgp, parse_rgp,
+    is_connected, is_graph_database, is_walk, label_class, make_rgp, parse_rgp,
     serialize_rgp, signed_walk_sum, structural_predicates, walk_endpoints,
     walk_label,
 )
+from rgphom.testkit import random_rgp
 
-from helpers import words_of
+from helpers import shuffle_names, union_find_components, words_of
 
 
 def test_parse_minimal_document():
@@ -140,6 +143,21 @@ def test_levels_are_per_component_and_one_based():
     report = structural_predicates(p)
     assert report.levels == {"u": 1, "v": 2, "w": 1, "x": 2}
     assert not report.is_connected
+
+
+def test_is_connected_matches_union_find():
+    assert is_connected(make_rgp("a", [], []))
+    rng = random.Random(13)
+    answers = set()
+    for seed in range(300):
+        n = rng.randint(1, 9)
+        p = shuffle_names(random_rgp(seed, n, rng.randint(0, 2 * n),
+                                     max_label_size=2), rng)
+        components = union_find_components(
+            p.vertices, [(a.src, a.dst) for a in p.arcs])
+        assert is_connected(p) == (len(components) == 1), p
+        answers.add(len(components) == 1)
+    assert answers == {False, True}
 
 
 def test_directed_path_order():

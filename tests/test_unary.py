@@ -56,6 +56,7 @@ from fixtures import (
     three_component_pattern,
     undirected_template,
 )
+from helpers import shuffle_names, union_find_components
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +172,23 @@ def test_audit_flags_loop_with_company():
 def test_audit_flags_non_bridge_plus_edge():
     q = undirected_template([("u", "v"), ("v", "w")], plus_edges=[("u", "w")])
     assert "c" in [v.item for v in audit_undirected_ncore(q)]
+
+
+def test_audit_flags_plus_edge_beside_a_parallel_a_edge():
+    # Dropping the a+ edge u--v leaves the 'a' edge u--v, so it is no bridge.
+    q = undirected_template([("u", "v"), ("v", "w")], plus_edges=[("u", "v")])
+    violations = audit_undirected_ncore(q)
+    assert [v.witness for v in violations if v.item == "c"] == [("u", "v")]
+
+
+def test_audit_passes_plus_bridges():
+    # Each a+ edge is the only link between its two sides.
+    for q in (undirected_template([("u", "v"), ("w", "x")],
+                                  plus_edges=[("v", "w")]),
+              undirected_template([("u", "v"), ("v", "w")],
+                                  plus_edges=[("w", "x")]),
+              mycielski_fixture()):
+        assert "c" not in [v.item for v in audit_undirected_ncore(q)]
 
 
 def test_audit_flags_component_folding():
@@ -329,6 +347,23 @@ def test_easy_solver_requires_undirected_pattern():
 
 # ---------------------------------------------------------------------------
 # Collapse, prune, scheduling
+
+
+def test_a_components_match_union_find():
+    # Members in p.vertices order, components ordered by their first
+    # member, on names that are neither sorted nor declared in order.
+    rng = random.Random(13)
+    sizes = set()
+    for seed in range(300):
+        n = rng.randint(1, 9)
+        p = shuffle_names(random_unary_pattern(
+            seed, n, rng.randint(0, 2 * n), undirected=rng.random() < 0.5),
+            rng)
+        a_edges = [(a.src, a.dst) for a in p.arcs if isinstance(a.label, Sym)]
+        expected = union_find_components(p.vertices, a_edges)
+        assert unary._vertex_a_components(p) == expected, p
+        sizes.add(len(expected))
+    assert {1, 2, 3} <= sizes
 
 
 def test_collapse_three_component_pattern():
