@@ -9,8 +9,9 @@ subset acting as an explicit sink when it is reachable.
 
 Sets of NFA states are int bitmasks: bit q stands for state q. A subset
 is stepped on a symbol by OR-ing the successor masks of its states
-(_successor_masks, _step), the one subset kernel that determinize and
-the on-the-fly inclusion search in languages both use. determinize
+(_successor_masks, _step), the one subset kernel that determinize, the
+on-the-fly inclusion search in languages and the label images of the
+walk engine all use. determinize
 numbers DFA states in breadth-first discovery order, symbols taken in
 sorted order, and ticks the search budget once per subset state.
 """

@@ -66,6 +66,8 @@ class TruncationReport:
 
 @functools.lru_cache(maxsize=4096)
 def _compiled(node: RegexAst) -> Nfa:
+    """The NFA of a label, from a bounded cache that the walk engine
+    shares."""
     return compile_nfa(node)
 
 

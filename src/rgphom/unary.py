@@ -675,11 +675,13 @@ def _component_paths(p: Rgp) -> list[list[str]]:
         if len(starts) != 1:
             raise PreconditionError("a-component is not a directed path")
         path = [starts[0]]
+        seen = {starts[0]}
         while path[-1] in succ:
             nxt = succ[path[-1]]
-            if comp_of[nxt] != comp_of[path[0]] or nxt in path:
+            if comp_of[nxt] != comp_of[path[0]] or nxt in seen:
                 raise PreconditionError("a-component is not a directed path")
             path.append(nxt)
+            seen.add(nxt)
         if len(path) != len(component):
             raise PreconditionError("a-component is not a directed path")
         paths.append(path)

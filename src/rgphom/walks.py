@@ -1,47 +1,58 @@
 """Witness-walk search inside a target pattern.
 
 A pattern arc labeled E maps onto a walk W of the target only when
-every word readable along W belongs to L(E). The engine determinizes
-E into a d-state DFA and searches nodes (S, v), where S is the set of
-DFA states reachable by reading any word of the walk so far and v is
-the current vertex. Traversing an arc labeled B sends S to the union
-of the exact images of its states under words of L(B), which is
-deterministic, so each walk yields one node, and a walk qualifies
-exactly when its final S contains only accepting states. Nodes number
-at most 2^d * |V|, which bounds the length of shortest witnesses.
+every word readable along W belongs to L(E). The engine runs on E's
+NFA and builds no DFA. Reading a word from the initial state reaches
+a mask, the bitmask of the NFA states that word leads to, and the
+words readable along a walk reach a set of masks. A walk qualifies
+exactly when every such mask holds an accepting state, and it can
+never be extended to one that qualifies once some mask holds no
+co-reachable state (automata.prefix_closure); such a set is dead.
 
-Everything runs on bitsets. Vertices are indexed in sorted-name order,
-a set of DFA states is an int bitmask, and the node (S, v) is the int
-S * |V| + v.
+Both tests, and the step of a mask on a symbol, are monotone under
+inclusion, so only the minimal masks matter: the engine keeps the
+antichain of them, as languages._missing_word does (De Wulf, Doyen,
+Henzinger and Raskin, CAV 2006). Antichains are interned to ints, and
+the node (A, v), for the antichain A and the current vertex v, is the
+int A * |V| + v, vertices indexed in sorted-name order. Taking minimal
+masks commutes with the step and with both tests, so this quotient of
+the subset-DFA search qualifies the same walks and finds the same
+first walk in BFS order. It only merges nodes, so it keeps the worst
+case of 2^d * |V| nodes for the d states of E's DFA (walk_length_bound)
+and cuts the nodes actually reached.
 
-Both passes below condense a product graph with Tarjan's algorithm
-(_condense): one iterative depth-first search enters each reachable
-node once and returns its strongly connected components sinks first.
-A fold over that component DAG (Nuutila's transitive-closure scheme)
-then gives every node's reach in one visit per node and arc.
-
-- Label images. For each distinct target arc label B, images[s] is the
-  bitmask of DFA states reachable from s by a word of L(B). The product
-  of the DFA with B's NFA is condensed from every (s, initial) at once,
-  the DFA states of its accepting nodes are folded sinks first, and
-  images[s] is the fold at (s, initial). The image of a whole state set
-  is memoised per label.
-- Relation rows from every source at once. The walk graph is condensed
-  from the successors of every start node (initial, u), so only
-  nonempty walks count. A sinks-first fold gives each component the
-  vertex bits v of the nodes (S, v) it reaches whose S is
-  all-accepting, and rows[u] is the OR of the folds at the successors
-  of (initial, u). A forward fold in topological order pushes each
-  source's bit from those successors down the component DAG, and
-  cols[v] is the OR of the source bits arriving at the all-accepting
-  nodes (S, v). The engine's vertex order is the relation's, so the
-  CSP takes rows and cols as they come.
+- Label images, on demand. The image of a mask M under a target arc
+  label B is the antichain of minimal masks that words of L(B) lead M
+  to. A BFS over the pairs (mask, state of B's NFA), started at
+  (M, initial), steps masks with automata._step and drops a pair when
+  a mask kept at the same NFA state is a subset of its own; the masks
+  kept at B's accepting states, minimised, are the image. A dead mask
+  there makes the image dead and ends the search. Images are memoised
+  per (arc label, mask), and the image of an antichain, the minimal
+  masks of its masks' images, per (arc label, antichain).
+- Relation rows from every source at once. The walk graph is
+  condensed with Tarjan's algorithm (_condense): one iterative
+  depth-first search enters each reachable node once and returns its
+  strongly connected components sinks first, and a fold over that
+  component DAG (Nuutila's transitive-closure scheme) gives every
+  node's reach in one visit per node and arc. The search starts from
+  the successors of every start node (initial, u), so only nonempty
+  walks count. A sinks-first fold gives each component the vertex
+  bits v of the qualifying nodes (A, v) it reaches, and rows[u] is the
+  OR of the folds at the successors of (initial, u). A forward fold in
+  topological order pushes each source's bit from those successors
+  down the component DAG, and cols[v] is the OR of the source bits
+  arriving at the qualifying nodes (A, v). The engine's vertex order
+  is the relation's, so the CSP takes rows and cols as they come.
 - Witnesses on demand. WalkRelation.witness(u, v) runs a BFS from u
   that stops at v, which gives a shortest walk with ties broken by arc
   index, and memoises it; only the arcs of a final map need one.
 
-Every pass ticks the budget once per product node, in batches, and
-determinizing the label ticks it once per DFA state.
+Every search ticks the budget of the call that runs it once per
+product node, in batches: an image search once per (mask, NFA state)
+pair, the walk passes once per node (A, v). The label and arc-label
+NFAs come from the bounded cache of languages, and the relation cache
+keeps the latest 1024 relations.
 """
 
 from __future__ import annotations
@@ -50,11 +61,13 @@ from collections.abc import (Callable, Iterable, Iterator, Mapping, Sequence,
                              Set)
 from dataclasses import dataclass, field
 
-from .automata import Nfa, compile_nfa, determinize
+from .automata import (Nfa, _step, _successor_masks, determinize,
+                       prefix_closure)
 from .csp import Rows, _bits
 from .errors import TICK_BATCH, PreconditionError, SearchBudget
+from .languages import _compiled
 from .regexes import RegexAst
-from .rgp import Rgp, _reach
+from .rgp import Rgp
 
 
 def _condense(starts: Iterable[int],
@@ -133,105 +146,140 @@ def _fold(components: list[list[int]], comp: dict[int, int],
 
 
 class _Engine:
-    """Per-(target, label) search state: the label's DFA, the target's
-    out-arcs by vertex index, and for each distinct target arc label
-    the images of DFA states and of state sets."""
+    """Per-(target, label) search state: the label's NFA and its
+    co-reachable states, the target's out-arcs by vertex index, the
+    interned antichains, and per distinct target arc label the memoised
+    images of masks and of antichains.
 
-    def __init__(self, q: Rgp, e: RegexAst, budget: SearchBudget):
+    Images are computed on first use and tick the budget passed to the
+    call that needs them, so an engine holds no budget of its own."""
+
+    def __init__(self, q: Rgp, e: RegexAst):
         self.n = len(q.vertices)
         self.names = tuple(sorted(q.vertices))
         self.index = {v: i for i, v in enumerate(self.names)}
-        self.dfa = determinize(compile_nfa(e), q.alphabet, budget)
-        self.initial = 1 << self.dfa.initial
-        self.accepting = sum(1 << s for s in self.dfa.accepting)
-        # dead: the DFA states from which no accepting state is reachable.
-        # A state set holding one never turns all-accepting, so the
-        # searches drop its nodes.
-        into: list[set[int]] = [set() for _ in range(self.dfa.n_states)]
-        for d, row in enumerate(self.dfa.delta):
-            for d2 in row.values():
-                into[d2].add(d)
-        live = _reach(into, self.dfa.accepting)
-        self.dead = sum(1 << s for s in range(self.dfa.n_states)
-                        if s not in live)
+        nfa = _compiled(e)
+        self.masks = _successor_masks(nfa, q.alphabet)
+        self.accepting = sum(1 << s for s in nfa.accepting)
+        self.live = sum(1 << s for s in prefix_closure(nfa).accepting)
+        # antichains[k] is the antichain with id k, its masks sorted;
+        # rejecting[k] tells whether one of them holds no accepting state.
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.antichains: list[tuple[int, ...]] = []
+        self.rejecting: list[bool] = []
+        self._intern((1 << nfa.initial,))
         # out[v] lists (arc index, dst index, label id) in arc order.
         self.out: list[list[tuple[int, int, int]]] = [[] for _ in q.vertices]
         self.label_ids: dict[RegexAst, int] = {}
-        self.images: list[list[int]] = []
+        self.arc_nfas: list[Nfa] = []
         for i, arc in enumerate(q.arcs):
             if arc.label not in self.label_ids:
-                self.label_ids[arc.label] = len(self.images)
-                self.images.append(self._label_images(
-                    compile_nfa(arc.label), budget))
+                self.label_ids[arc.label] = len(self.arc_nfas)
+                self.arc_nfas.append(_compiled(arc.label))
             self.out[self.index[arc.src]].append(
                 (i, self.index[arc.dst], self.label_ids[arc.label]))
-        self._set_images: list[dict[int, int]] = [{} for _ in self.images]
+        # _mask_images[k][M] is the image of the mask M under arc label k,
+        # images[k][A] that of the antichain with id A; None or -1 when
+        # the image holds a dead mask.
+        self._mask_images: list[dict[int, tuple[int, ...] | None]] = [
+            {} for _ in self.arc_nfas]
+        self.images: list[dict[int, int]] = [{} for _ in self.arc_nfas]
 
-    def _label_images(self, nfa: Nfa, budget: SearchBudget) -> list[int]:
-        """images[s] = bitmask of the DFA states reachable from s by a
-        word of the arc label's language. The product of the DFA and the
-        label's NFA, whose node (d, b) is the int d * |NFA| + b, is
-        condensed from every (s, initial) at once, and the DFA states of
-        its accepting nodes are folded sinks first."""
-        delta = self.dfa.delta
-        trans = nfa.trans
+    def _intern(self, antichain: tuple[int, ...]) -> int:
+        k = self.ids.get(antichain)
+        if k is None:
+            k = self.ids[antichain] = len(self.antichains)
+            self.antichains.append(antichain)
+            self.rejecting.append(
+                any(not m & self.accepting for m in antichain))
+        return k
+
+    def _mask_image(self, label_id: int, mask: int,
+                    budget: SearchBudget) -> tuple[int, ...] | None:
+        """The minimal masks that words of the arc label's language lead
+        mask to, or None when one of them is dead. A BFS over the nodes
+        (M, b), b a state of the arc label's NFA, steps M on each symbol
+        b reads, and drops a node when a mask kept at b is a subset of
+        its own: every mask that node leads to contains one the kept
+        node leads to. The masks kept at the NFA's accepting states are
+        therefore the image, up to minimisation."""
+        nfa = self.arc_nfas[label_id]
+        masks = self.masks
+        live = self.live
         accepting = nfa.accepting
-        width = nfa.n_states
+        kept: list[list[int]] = [[] for _ in range(nfa.n_states)]
+        kept[nfa.initial].append(mask)
+        queue = [(mask, nfa.initial)]
+        pos = 0
+        while pos < len(queue):
+            subset, b = queue[pos]
+            pos += 1
+            if not pos % TICK_BATCH:
+                budget.tick(TICK_BATCH)
+            for ch, targets in nfa.trans[b].items():
+                image = _step(subset, masks[ch])
+                for b2 in targets:
+                    antichain = kept[b2]
+                    if any(not m & ~image for m in antichain):
+                        continue
+                    kept[b2] = [m for m in antichain if image & ~m]
+                    kept[b2].append(image)
+                    if b2 in accepting and not image & live:
+                        budget.tick(pos % TICK_BATCH)
+                        return None
+                    queue.append((image, b2))
+        budget.tick(pos % TICK_BATCH)
+        return _minimal([m for b in accepting for m in kept[b]])
 
-        def successors(node: int) -> list[int]:
-            d, b = divmod(node, width)
-            row = delta[d]
-            return [row[ch] * width + b2
-                    for ch, targets in trans[b].items() for b2 in targets]
-
-        def own(node: int) -> int:
-            d, b = divmod(node, width)
-            return 1 << d if b in accepting else 0
-
-        starts = [s * width + nfa.initial for s in range(self.dfa.n_states)]
-        components, comp, succ = _condense(starts, successors, budget)
-        masks = _fold(components, comp, succ, own)
-        return [masks[comp[x]] for x in starts]
-
-    def step(self, label_id: int, states: int) -> int:
-        """The image of a state set under a target arc label."""
-        memo = self._set_images[label_id]
-        image = memo.get(states)
+    def step(self, label_id: int, antichain: int,
+             budget: SearchBudget) -> int:
+        """The id of the image of an antichain under a target arc label,
+        or -1 when that image holds a dead mask."""
+        memo = self.images[label_id]
+        image = memo.get(antichain)
         if image is None:
-            images = self.images[label_id]
-            image = 0
-            for s in _bits(states):
-                image |= images[s]
-            memo[states] = image
+            mask_memo = self._mask_images[label_id]
+            union: list[int] = []
+            for mask in self.antichains[antichain]:
+                if mask not in mask_memo:
+                    mask_memo[mask] = self._mask_image(label_id, mask, budget)
+                part = mask_memo[mask]
+                if part is None:
+                    image = -1
+                    break
+                union.extend(part)
+            else:
+                image = self._intern(_minimal(union))
+            memo[antichain] = image
         return image
 
     def rows(self, budget: SearchBudget) -> tuple[list[int], list[int]]:
         """(rows, cols): bit v of rows[u], and bit u of cols[v], is set
         when a qualifying nonempty walk leads from u to v. The product
         graph is condensed from the successors of every (initial, u);
-        rows fold the vertex bits of all-accepting nodes sinks first,
-        cols fold the source bits forward in topological order."""
+        rows fold the vertex bits of qualifying nodes sinks first, cols
+        fold the source bits forward in topological order."""
         n = self.n
         # Parallel arcs with one label lead to the same node.
         out = [sorted({(dst, label) for _, dst, label in arcs})
                for arcs in self.out]
-        dead = self.dead
         step = self.step
 
         def successors(node: int) -> list[int]:
-            states, v = divmod(node, n)
+            antichain, v = divmod(node, n)
             return [image * n + dst for dst, label in out[v]
-                    if not (image := step(label, states)) & dead]
+                    if (image := step(label, antichain, budget)) >= 0]
 
-        # Each source starts on the successors of its start node, so the
-        # empty walk counts for no pair.
-        firsts = [successors(self.initial * n + u) for u in range(n)]
+        # Each source starts on the successors of its start node, the
+        # initial antichain (id 0) at u, so the empty walk counts for no
+        # pair.
+        firsts = [successors(u) for u in range(n)]
         components, comp, succ = _condense(
             (x for first in firsts for x in first), successors, budget)
-        rejecting = ~self.accepting
+        rejecting = self.rejecting
 
         def own(x: int) -> int:
-            return 0 if x // n & rejecting else 1 << x % n
+            return 0 if rejecting[x // n] else 1 << x % n
 
         masks = _fold(components, comp, succ, own)
         rows = [0] * n
@@ -247,7 +295,7 @@ class _Engine:
             if not sources:
                 continue
             for x in components[c]:
-                if not x // n & rejecting:
+                if not rejecting[x // n]:
                     cols[x % n] |= sources
                 for y in succ[x]:
                     seeds[comp[y]] |= sources
@@ -259,8 +307,7 @@ class _Engine:
         target: a shortest one, ties broken by arc index. The queue
         starts at the empty walk, -1, which is never a node."""
         n = self.n
-        dead = self.dead
-        rejecting = ~self.accepting
+        rejecting = self.rejecting
         parents: dict[int, tuple[int, int]] = {}
         queue = [-1]
         pos = 0
@@ -269,14 +316,14 @@ class _Engine:
             pos += 1
             if not pos % TICK_BATCH:
                 budget.tick(TICK_BATCH)
-            states, v = divmod(node, n) if node >= 0 else (self.initial, source)
+            antichain, v = divmod(node, n) if node >= 0 else (0, source)
             for arc_index, dst, label in self.out[v]:
-                image = self.step(label, states)
+                image = self.step(label, antichain, budget)
                 nxt = image * n + dst
-                if image & dead or nxt in parents:
+                if image < 0 or nxt in parents:
                     continue
                 parents[nxt] = (node, arc_index)
-                if dst == target and not nxt // n & rejecting:
+                if dst == target and not rejecting[image]:
                     budget.tick(pos % TICK_BATCH)
                     return self._walk_to(parents, nxt)
                 queue.append(nxt)
@@ -293,6 +340,15 @@ class _Engine:
         return tuple(reversed(walk))
 
 
+def _minimal(masks: list[int]) -> tuple[int, ...]:
+    """The antichain of the inclusion-minimal masks, sorted."""
+    kept: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count):
+        if all(k & ~m for k in kept):
+            kept.append(m)
+    return tuple(sorted(kept))
+
+
 @dataclass(frozen=True)
 class WalkRelation(Rows):
     """All vertex pairs of a target joinable by a walk matching a label.
@@ -301,7 +357,8 @@ class WalkRelation(Rows):
     relation is the Rows of the joinable pairs over it: bit j of rows[i]
     is set when (names[i], names[j]) is joinable, and cols is the
     transpose. The CSP takes it as it is; pairs is a read-only set view
-    of the same pairs.
+    of the same pairs. antichains counts the distinct antichains of the
+    label's NFA-state masks that the search interned.
 
     witness(u, v) gives one shortest witness walk per pair (ties broken
     by arc index), found on first request and memoised; witnesses is a
@@ -311,7 +368,7 @@ class WalkRelation(Rows):
     label: RegexAst
     target: Rgp
     names: tuple[str, ...]
-    dfa_states: int
+    antichains: int
     _engine: _Engine = field(repr=False, compare=False)
     _walks: dict[tuple[str, str], tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -389,6 +446,7 @@ class _Witnesses(Mapping):
         return len(self._relation.pairs)
 
 
+_RELATION_CACHE_SIZE = 1024
 _relation_cache: dict[tuple[RegexAst, Rgp], WalkRelation] = {}
 
 
@@ -399,8 +457,11 @@ def clear_relation_cache() -> None:
 def walk_length_bound(q: Rgp, e: RegexAst,
                       budget: SearchBudget | None = None) -> int:
     """2^d * |V(q)| where d counts the states of the label's DFA;
-    determinizing the label ticks the budget."""
-    dfa = determinize(compile_nfa(e), q.alphabet, budget)
+    determinizing the label ticks the budget. The engine's antichain
+    nodes only merge the nodes (set of DFA states, vertex) of the
+    subset search, so this bounds the length of the shortest witness
+    walks it finds."""
+    dfa = determinize(_compiled(e), q.alphabet, budget)
     return (2 ** dfa.n_states) * len(q.vertices)
 
 
@@ -416,7 +477,7 @@ def find_walk(
         if vertex not in q.vertices:
             raise PreconditionError(f"vertex {vertex!r} not in target")
     use_budget = budget or SearchBudget()
-    engine = _Engine(q, e, use_budget)
+    engine = _Engine(q, e)
     return engine.walk(engine.index[u], engine.index[v], use_budget)
 
 
@@ -426,17 +487,21 @@ def relation_for_label(
     budget: SearchBudget | None = None,
 ) -> WalkRelation:
     """The full walk relation for a label over a target, memoized per
-    structurally equal (label, target) pair."""
+    structurally equal (label, target) pair; the memo keeps the latest
+    1024 relations and evicts the oldest first."""
     key = (e, q)
     cached = _relation_cache.get(key)
     if cached is not None:
         return cached
     use_budget = budget or SearchBudget()
-    engine = _Engine(q, e, use_budget)
+    engine = _Engine(q, e)
     rows, cols = engine.rows(use_budget)
     relation = WalkRelation(label=e, target=q, names=engine.names,
                             rows=tuple(rows), cols=tuple(cols),
-                            dfa_states=engine.dfa.n_states, _engine=engine)
+                            antichains=len(engine.antichains),
+                            _engine=engine)
+    if len(_relation_cache) >= _RELATION_CACHE_SIZE:
+        del _relation_cache[next(iter(_relation_cache))]
     _relation_cache[key] = relation
     return relation
 

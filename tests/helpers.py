@@ -8,6 +8,9 @@ reference_determinize and reference_inclusion are the frozenset subset
 construction and the breadth-first search over the full DFA product
 that the bitmask determinize and the on-the-fly inclusion search
 replaced; they return the same DFA and the same counterexample word.
+reference_antichain_images is the walk engine's label images over
+antichains of NFA-state sets, by unpruned product searches and
+pairwise minimisation.
 union_find_components is the union-find that connectivity checks are
 compared against; it shares no search with the library.
 """
@@ -165,6 +168,50 @@ def reference_label_images(dfa: Dfa, nfa: Nfa) -> list[frozenset[int]]:
                         seen.add((d2, b2))
                         queue.append((d2, b2))
         result.append(frozenset(image))
+    return result
+
+
+def reference_antichain_images(
+    nfa: Nfa, arc_nfa: Nfa, antichains: Iterable[frozenset[frozenset[int]]],
+) -> list[frozenset[frozenset[int]] | None]:
+    """images[i] = the inclusion-minimal sets of nfa states that words of
+    L(arc_nfa) lead the sets of antichains[i] to, or None when one of
+    those sets holds no state that reaches an accepting one. Each set
+    runs its own BFS over (frozenset of nfa states, arc_nfa state)
+    pairs with no pruning, and the sets reached at accepting arc_nfa
+    states are minimised by comparing every two."""
+    live = set(nfa.accepting)
+    grew = True
+    while grew:
+        grew = False
+        for s in range(nfa.n_states):
+            if s not in live and any(t in live for targets in nfa.trans[s].values()
+                                     for t in targets):
+                live.add(s)
+                grew = True
+    result: list[frozenset[frozenset[int]] | None] = []
+    for antichain in antichains:
+        reached: set[frozenset[int]] = set()
+        for start in antichain:
+            seen = {(start, arc_nfa.initial)}
+            queue = deque(seen)
+            while queue:
+                states, b = queue.popleft()
+                if b in arc_nfa.accepting:
+                    reached.add(states)
+                for ch, targets in arc_nfa.trans[b].items():
+                    stepped = frozenset(t for s in states
+                                        for t in nfa.successors(s, ch))
+                    for b2 in targets:
+                        if (stepped, b2) not in seen:
+                            seen.add((stepped, b2))
+                            queue.append((stepped, b2))
+        if any(not states & live for states in reached):
+            result.append(None)
+        else:
+            result.append(frozenset(
+                states for states in reached
+                if not any(other < states for other in reached)))
     return result
 
 

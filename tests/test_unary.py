@@ -366,6 +366,21 @@ def test_a_components_match_union_find():
     assert {1, 2, 3} <= sizes
 
 
+def test_component_paths_walk_a_4000_vertex_path_and_refuse_a_revisit():
+    n = 4000
+    names = [f"p{i}" for i in range(n)]
+    declared = names[:]
+    random.Random(4).shuffle(declared)
+    p = make_rgp("a", declared, [(names[i], names[i + 1], "a")
+                                 for i in range(n - 1)])
+    assert unary._component_paths(p) == [names]
+    # s -> x -> y -> x: one source, then the chain comes back to x.
+    loop = make_rgp("a", ["s", "x", "y"],
+                    [("s", "x", "a"), ("x", "y", "a"), ("y", "x", "a")])
+    with pytest.raises(PreconditionError):
+        unary._component_paths(loop)
+
+
 def test_collapse_three_component_pattern():
     p = three_component_pattern()
     collapsed = collapse_levels(p)

@@ -8,15 +8,17 @@ import pytest
 from rgphom.automata import compile_nfa
 from rgphom.errors import BudgetExceededError, PreconditionError, SearchBudget
 from rgphom import walks
+from rgphom.nhom import is_n_core
 from rgphom.regexes import parse_regex
 from rgphom.rgp import make_rgp, parse_rgp, walk_endpoints
+from rgphom.testkit import gadget_ncore
 from rgphom.walks import (
     TICK_BATCH, _bits, _Engine, clear_relation_cache, find_walk,
     relation_for_label, walk_length_bound,
 )
 
 from helpers import (
-    all_walks, reference_label_images, reference_relation, walk_qualifies,
+    all_walks, reference_antichain_images, reference_relation, walk_qualifies,
 )
 
 
@@ -160,6 +162,25 @@ def _reference_instance(seed):
     return make_rgp("ab", vertices, arcs), rx(rng.choice(REFERENCE_LABELS))
 
 
+def _as_sets(masks):
+    return frozenset(frozenset(_bits(mask)) for mask in masks)
+
+
+def _assert_images_match_reference(engine, e):
+    """Every antichain image the engine memoised equals the reference's,
+    a dead image (-1) matching None. Every source steps the initial
+    antichain over each of its out-arcs, so no label's memo is empty."""
+    for label, k in engine.label_ids.items():
+        memo = sorted(engine.images[k].items())
+        assert memo, label
+        expected = reference_antichain_images(
+            compile_nfa(e), compile_nfa(label),
+            [_as_sets(engine.antichains[a]) for a, _ in memo])
+        got = [None if image < 0 else _as_sets(engine.antichains[image])
+               for _, image in memo]
+        assert got == expected, label
+
+
 def test_engine_matches_the_per_source_reference_on_200_targets():
     for seed in range(200):
         q, e = _reference_instance(seed)
@@ -170,14 +191,11 @@ def test_engine_matches_the_per_source_reference_on_200_targets():
         for (u, v), walk in expected.items():
             assert relation.witness(u, v) == walk, (seed, u, v)
         assert dict(relation.witnesses) == expected, seed
-        engine = _Engine(q, e, SearchBudget())
+        _assert_images_match_reference(relation._engine, e)
+        engine = _Engine(q, e)
         for u, v in product(q.vertices, repeat=2):
             got = engine.walk(engine.index[u], engine.index[v], SearchBudget())
             assert got == expected.get((u, v)), (seed, u, v)
-        for label, k in engine.label_ids.items():
-            images = [frozenset(_bits(mask)) for mask in engine.images[k]]
-            assert images == reference_label_images(
-                engine.dfa, compile_nfa(label)), (seed, label)
 
 
 def test_witnesses_view_is_read_only_and_keyed_by_pairs():
@@ -234,18 +252,32 @@ def test_batched_ticks_lose_no_node(monkeypatch):
     assert batched > 2 * TICK_BATCH and batched % TICK_BATCH
 
 
-def test_label_determinization_spends_the_relation_budget():
-    # The label's DFA has 1 025 states, the one-arc target few product
-    # nodes: the budget runs out while the label is determinized.
-    q = make_rgp("ab", ["u", "v"], [("u", "v", "a")])
+def test_label_images_spend_the_relation_budget():
+    # The arc label is ten (a|b) steps, a chain of 21 NFA states. The
+    # 2^k words of each length k lead the label's initial mask to 2^k
+    # nodes, none pruned, so the image search has 2^11 - 1 nodes; the
+    # walk graph adds the one node (image, v), which does not qualify.
+    # The budget runs out inside the image search.
+    q = make_rgp("ab", ["u", "v"], [("u", "v", "(a|b)" * 10)])
     e = rx("(a|b)*a" + "(a|b)" * 9)
     clear_relation_cache()
     with pytest.raises(BudgetExceededError) as caught:
         relation_for_label(q, e, SearchBudget(max_nodes=1000))
-    assert any(entry.name == "determinize" for entry in caught.traceback)
+    assert any(entry.name == "_mask_image" for entry in caught.traceback)
     budget = SearchBudget()
-    relation_for_label(q, e, budget)
-    assert budget.nodes >= 1025
+    assert relation_for_label(q, e, budget).pairs == frozenset()
+    assert budget.nodes == 2 ** 11
+
+
+def test_core_check_of_the_n12_gadget_fits_a_small_budget():
+    # Determinizing each label cost 2^13 + 2 states per sub-solve, and
+    # the label images of that DFA about 320 000 budget nodes in all.
+    e1 = rx("(a|b)*a" + "(a|b)" * 12)
+    e2 = rx("(a|b)*a" + "(a|b)" * 12 + "|b*")
+    clear_relation_cache()
+    verdict = is_n_core(gadget_ncore(e1, e2), SearchBudget(max_nodes=100_000))
+    assert not verdict.is_core
+    clear_relation_cache()
 
 
 def _scc_instance(seed):
@@ -300,11 +332,7 @@ def test_condensed_relation_matches_the_reference_on_scc_chains(seed):
         sum(1 << i for i, u in enumerate(names) if relation.rows[i] >> j & 1)
         for j in range(len(names)))
     assert dict(relation.witnesses) == expected
-    engine = relation._engine
-    for label, k in engine.label_ids.items():
-        images = [frozenset(_bits(mask)) for mask in engine.images[k]]
-        assert images == reference_label_images(
-            engine.dfa, compile_nfa(label)), label
+    _assert_images_match_reference(relation._engine, e)
 
 
 def test_condensation_enters_and_ticks_each_node_once():
@@ -325,18 +353,41 @@ def test_condensation_enters_and_ticks_each_node_once():
 
 
 def test_relation_ticks_once_per_distinct_product_node():
-    # Determinizing a+ gives 3 states (0 -a-> 1 -a-> 2 -a-> 2). The
-    # images of the target label a reach 5 nodes (d, b): (0, 0), (1, 1),
-    # (1, 0), (2, 1) and (2, 0). The walk graph reaches the 3 nodes
-    # ({1}, v) and the 3 nodes ({2}, v), which form one cycle.
+    # The NFA of a+ is 0 -a-> 1 -a-> 2 -a-> 2, and that of the target
+    # label a is 0 -a-> 1. The walks reach the antichains {{0}}, {{1}}
+    # and {{2}}. Each of the masks {0}, {1} and {2} has its image under
+    # a searched once, over the 2 nodes (M, 0) and (step(M), 1). The
+    # walk graph reaches the 3 nodes ({{1}}, v) and the 3 nodes
+    # ({{2}}, v), which form one cycle.
     q = make_rgp("a", ["b", "a", "c"],
                  [("a", "b", "a"), ("b", "c", "a"), ("c", "a", "a")])
     clear_relation_cache()
     budget = SearchBudget()
     relation = relation_for_label(q, rx("a+", "a"), budget)
-    assert relation.dfa_states == 3
-    assert budget.nodes == 3 + 5 + 6
+    assert relation.antichains == 3
+    assert budget.nodes == 3 * 2 + 6
     assert len(relation.pairs) == 9
+
+
+def test_relation_cache_keeps_the_latest_1024_relations():
+    # One-vertex targets named apart: each is its own cache key.
+    e = rx("a+", "a")
+    targets = [make_rgp("a", [f"t{i}"], [(f"t{i}", f"t{i}", "a")])
+               for i in range(1025)]
+    clear_relation_cache()
+    relations = [relation_for_label(q, e) for q in targets]
+    assert len(walks._relation_cache) == 1024
+    assert (e, targets[0]) not in walks._relation_cache
+    # A cache hit ticks nothing.
+    assert relation_for_label(
+        targets[-1], e, SearchBudget(max_nodes=0)) is relations[-1]
+    first = relations[0]
+    again = relation_for_label(targets[0], e)
+    assert again is not first
+    assert again.pairs == first.pairs == {("t0", "t0")}
+    assert again.witness("t0", "t0") == first.witness("t0", "t0") == (0,)
+    assert (e, targets[1]) not in walks._relation_cache
+    clear_relation_cache()
 
 
 def test_deep_path_relation_needs_no_recursion():
