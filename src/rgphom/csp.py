@@ -112,11 +112,15 @@ def iter_csp_solutions(
     budget: SearchBudget,
 ) -> Iterator[dict[str, Value]]:
     """Yield every solution, in deterministic order."""
-    values = sorted({value for v in variables for value in domains[v]})
+    # Callers often pass one domain object for many variables, so each
+    # distinct object is read once.
+    distinct = {id(domains[v]): domains[v] for v in variables}
+    values = sorted({value for domain in distinct.values() for value in domain})
     index = {value: i for i, value in enumerate(values)}
     var = {v: i for i, v in enumerate(variables)}
-    dom = [sum(1 << index[value] for value in set(domains[v]))
-           for v in variables]
+    masks = {key: sum(1 << index[value] for value in set(domain))
+             for key, domain in distinct.items()}
+    dom = [masks[id(domains[v])] for v in variables]
     support = _network(var, values, dom, constraints)
     if not _propagate(dom, support, range(len(dom)), budget):
         return

@@ -63,10 +63,7 @@ def label_relations(
     budget: SearchBudget | None = None,
 ) -> dict[RegexAst, WalkRelation]:
     """Walk relations over q for every distinct arc label of p."""
-    labels: list[RegexAst] = []
-    for arc in p.arcs:
-        if arc.label not in labels:
-            labels.append(arc.label)
+    labels = dict.fromkeys(arc.label for arc in p.arcs)
     return {e: relation_for_label(q, e, budget) for e in labels}
 
 

@@ -6,6 +6,12 @@ binds tighter than concatenation, which binds tighter than union.
 There are no empty-language or empty-word literals, so every AST
 denotes a nonempty language. `x+` is sugar for `x.x*` and is expanded
 at parse time.
+
+There is one `Sym` object per character: `Sym("a") is Sym("a")`, and a
+`Sym` compares and hashes by identity, in C. Equality of `Union`,
+`Concat` and `Star` stays structural, and stops at identical `Sym`s.
+The table of `Sym`s is a plain dict keyed by character, so it holds at
+most one entry per character ever used; it is never cleared.
 """
 
 from __future__ import annotations
@@ -16,9 +22,26 @@ from typing import Iterable, Union as TUnion
 from .errors import RegexParseError
 
 
-@dataclass(frozen=True)
+_SYMS: dict[str, "Sym"] = {}
+
+
+@dataclass(frozen=True, eq=False)
 class Sym:
+    """A single alphabet character; the one object for that character."""
+
     char: str
+
+    def __new__(cls, char: str) -> "Sym":
+        sym = _SYMS.get(char)
+        if sym is None:
+            # setdefault is atomic, so racing threads get the same Sym.
+            sym = _SYMS.setdefault(char, super().__new__(cls))
+        return sym
+
+    def __reduce__(self):
+        # Copies and unpickled objects go through __new__, so they keep
+        # the identity of their character's Sym.
+        return Sym, (self.char,)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,11 @@ A graph database is the special case where every label is a single
 symbol. Vertices are strings; arcs are ordered and may be parallel or
 looping. Walks are nonempty sequences of consecutive arcs, named by
 arc index.
+
+An arc is a named tuple (src, dst, label), so it hashes and compares in
+C and equals the plain tuple of its fields; keep the two apart in sets
+and dict keys. With one `Sym` per character (see regexes), comparing
+two loads of one graph database never leaves C.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import json
 from dataclasses import dataclass, field
 from collections import Counter, deque
 from collections.abc import Iterable, Mapping, Sequence
+from typing import NamedTuple
 
 from .errors import PreconditionError, RgpSchemaError
 from .regexes import (
@@ -20,8 +26,7 @@ from .regexes import (
 )
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     src: str
     dst: str
     label: RegexAst
@@ -32,9 +37,10 @@ class Rgp:
     alphabet: tuple[str, ...]
     vertices: tuple[str, ...]
     arcs: tuple[Arc, ...]
-    # The hash, computed on the first __hash__ call: hashing recurses
-    # through every arc label, and a target is hashed on each relation
-    # cache lookup, while most patterns are never hashed at all.
+    # The hash, computed on the first __hash__ call: hashing walks every
+    # arc, and recurses in Python through composite labels. A target is
+    # hashed on each relation cache lookup, while most patterns are
+    # never hashed at all.
     _hash: int | None = field(default=None, compare=False, repr=False,
                               init=False)
 
@@ -116,25 +122,30 @@ def parse_rgp(doc: "str | Mapping") -> Rgp:
     if not isinstance(doc["arcs"], list):
         raise RgpSchemaError("arcs must be a list")
     alpha = tuple(sorted(set(alphabet)))
-    # Each distinct label string is parsed once; a bad one fails at the
-    # first arc that carries it.
+    # Each distinct label string is parsed once, against the alphabet;
+    # a bad one fails at the first arc that carries it. Rgp's own checks
+    # (vertex ids, then endpoints) run after every label has parsed.
     parsed: dict[str, RegexAst] = {}
     arcs = []
     for i, entry in enumerate(doc["arcs"]):
-        if not isinstance(entry, Mapping):
+        # dict comes first: an isinstance check against the Mapping ABC
+        # alone runs Python code on every arc.
+        if not isinstance(entry, (dict, Mapping)):
             raise RgpSchemaError(f"arc {i} must be an object")
-        for key in ("from", "to", "label"):
-            if key not in entry or not isinstance(entry[key], str):
-                raise RgpSchemaError(f"arc {i} needs string field {key!r}")
-        text = entry["label"]
+        src, dst, text = entry.get("from"), entry.get("to"), entry.get("label")
+        if not (isinstance(src, str) and isinstance(dst, str)
+                and isinstance(text, str)):
+            key = next(k for k in ("from", "to", "label")
+                       if not isinstance(entry.get(k), str))
+            raise RgpSchemaError(f"arc {i} needs string field {key!r}")
         label = parsed.get(text)
         if label is None:
             try:
                 label = parsed[text] = parse_regex(text, alpha)
             except ValueError as exc:
                 raise RgpSchemaError(f"arc {i} label: {exc}") from exc
-        arcs.append((entry["from"], entry["to"], label))
-    return make_rgp(alpha, tuple(vertices), arcs)
+        arcs.append(Arc(src, dst, label))
+    return Rgp(alpha, tuple(vertices), tuple(arcs))
 
 
 def serialize_rgp(p: Rgp) -> dict:
@@ -242,7 +253,7 @@ def directed_path_order(p: Rgp) -> tuple[str, ...] | None:
 def is_undirected(p: Rgp) -> bool:
     """True when arcs pair up symmetrically with equal labels (loops
     are their own reverse)."""
-    forward = Counter((a.src, a.dst, a.label) for a in p.arcs)
+    forward = Counter(p.arcs)
     backward = Counter((a.dst, a.src, a.label) for a in p.arcs)
     return forward == backward
 

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +17,40 @@ from rgphom.regexes import (
 
 def test_parse_single_symbol():
     assert parse_regex("a", "ab") == Sym("a")
+
+
+def test_one_sym_object_per_character():
+    assert Sym("a") is Sym("a")
+    assert Sym("a") is not Sym("b")
+    assert Sym(char="a") is Sym("a")
+    node = parse_regex("ab|a", "ab")
+    assert node.left.left is node.right is Sym("a")
+    assert parse_regex("a", "ab") is parse_regex("a", "a") is Sym("a")
+
+
+_PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy,
+    copy.deepcopy,
+    *[lambda x, p=p: pickle.loads(pickle.dumps(x, protocol=p))
+      for p in _PROTOCOLS],
+], ids=["copy", "deepcopy", *[f"pickle{p}" for p in _PROTOCOLS]])
+def test_copies_and_pickles_keep_the_sym(clone):
+    sym = Sym("a")
+    assert clone(sym) is sym
+    node = parse_regex("(ab)*|b+", "ab")
+    copied = clone(node)
+    assert copied == node
+    assert hash(copied) == hash(node)
+    assert copied.left.child.left is sym
+
+
+def test_sym_stays_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Sym("a").char = "b"
+    assert Sym("a").char == "a"
 
 
 def test_parse_union_binds_looser_than_star():

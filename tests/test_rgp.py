@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import random
+from types import MappingProxyType
 
 import pytest
 
@@ -37,21 +39,157 @@ def test_parse_and_serialize_round_trip():
     assert p.arcs[1].label == plus(Sym("a"))
 
 
-@pytest.mark.parametrize("doc", [
-    {"alphabet": ["a"], "vertices": ["v"], "arcs": ["nope"]},
-    {"alphabet": ["a"], "vertices": ["v"],
-     "arcs": [{"from": "v", "to": "w", "label": "a"}]},
-    {"alphabet": ["a"], "vertices": ["v", "v"], "arcs": []},
-    {"alphabet": ["a"], "vertices": ["v"],
-     "arcs": [{"from": "v", "to": "v", "label": "b"}]},
-    {"alphabet": ["a"], "vertices": ["v"],
-     "arcs": [{"from": "v", "to": "v", "label": "(a"}]},
-    {"alphabet": ["a"], "vertices": ["v"]},
-    {"alphabet": ["ab"], "vertices": ["v"], "arcs": []},
-])
-def test_parse_schema_errors(doc):
-    with pytest.raises(RgpSchemaError):
+def _doc(vertices=("u", "v"), arcs=(), alphabet=("a", "b")) -> dict:
+    return {"alphabet": list(alphabet), "vertices": list(vertices),
+            "arcs": [dict(arc) if isinstance(arc, dict) else arc
+                     for arc in arcs]}
+
+
+_GOOD_ARC = {"from": "u", "to": "v", "label": "a"}
+
+
+def _arc(**fields) -> dict:
+    return {**_GOOD_ARC, **fields}
+
+
+def _without(key) -> dict:
+    return {k: v for k, v in _GOOD_ARC.items() if k != key}
+
+
+# Each malformed document with the exact message it raises. The first
+# seven cases keep the ids this test has always given them.
+_LOADER_ERRORS = [
+    ("doc0", {"alphabet": ["a"], "vertices": ["v"], "arcs": ["nope"]},
+     "arc 0 must be an object"),
+    ("doc1", {"alphabet": ["a"], "vertices": ["v"],
+              "arcs": [{"from": "v", "to": "w", "label": "a"}]},
+     "arc 0 references an undeclared vertex"),
+    ("doc2", {"alphabet": ["a"], "vertices": ["v", "v"], "arcs": []},
+     "duplicate vertex ids"),
+    ("doc3", {"alphabet": ["a"], "vertices": ["v"],
+              "arcs": [{"from": "v", "to": "v", "label": "b"}]},
+     "arc 0 label: symbol 'b' not in alphabet at position 0 in 'b'"),
+    ("doc4", {"alphabet": ["a"], "vertices": ["v"],
+              "arcs": [{"from": "v", "to": "v", "label": "(a"}]},
+     "arc 0 label: unbalanced parenthesis at position 2 in '(a'"),
+    ("doc5", {"alphabet": ["a"], "vertices": ["v"]},
+     "missing required key 'arcs'"),
+    ("doc6", {"alphabet": ["ab"], "vertices": ["v"], "arcs": []},
+     "alphabet must be a list of single characters"),
+    ("invalid json", "{", "invalid JSON: Expecting property name enclosed "
+     "in double quotes: line 1 column 2 (char 1)"),
+    ("json array", "[1, 2]", "document must be a JSON object"),
+    ("list", [_doc()], "document must be a JSON object"),
+    ("string in json", '"abc"', "document must be a JSON object"),
+    ("no alphabet", {"vertices": [], "arcs": []},
+     "missing required key 'alphabet'"),
+    ("no vertices", {"alphabet": ["a"], "arcs": []},
+     "missing required key 'vertices'"),
+    ("no keys", {}, "missing required key 'alphabet'"),
+    ("alphabet string", {**_doc(), "alphabet": "a"},
+     "alphabet must be a list of single characters"),
+    ("alphabet number", _doc(alphabet=[1]),
+     "alphabet must be a list of single characters"),
+    ("vertices string", {**_doc(), "vertices": "uv"},
+     "vertices must be a list of strings"),
+    ("vertex number", _doc(vertices=["u", 1]),
+     "vertices must be a list of strings"),
+    ("empty vertex", _doc(vertices=["u", ""]),
+     "vertex ids must be nonempty strings"),
+    ("arcs object", {**_doc(), "arcs": {}}, "arcs must be a list"),
+    ("arc string", _doc(arcs=[_GOOD_ARC, "nope"]), "arc 1 must be an object"),
+    ("arc list", _doc(arcs=[["u", "v", "a"]]), "arc 0 must be an object"),
+    *[(f"no {key}", _doc(arcs=[_GOOD_ARC, _without(key)]),
+       f"arc 1 needs string field {key!r}") for key in ("from", "to", "label")],
+    *[(f"{key} number", _doc(arcs=[_GOOD_ARC, _arc(**{key: 3})]),
+       f"arc 1 needs string field {key!r}") for key in ("from", "to", "label")],
+    ("from null", _doc(arcs=[_arc(**{"from": None})]),
+     "arc 0 needs string field 'from'"),
+    ("unbalanced label", _doc(arcs=[_GOOD_ARC, _arc(label="(a"),
+                                    _arc(label="(a")]),
+     "arc 1 label: unbalanced parenthesis at position 2 in '(a'"),
+    ("dangling union", _doc(arcs=[_arc(label="a|")]),
+     "arc 0 label: expected a symbol or group at position 2 in 'a|'"),
+    ("empty label", _doc(arcs=[_arc(label="a+"), _arc(label="")]),
+     "arc 1 label: empty expression at position 0 in ''"),
+    ("shared bad label", _doc(arcs=[_arc(label="a*"), _arc(label="**"),
+                                    _GOOD_ARC, _arc(label="**")]),
+     "arc 1 label: operator '*' has no operand at position 0 in '**'"),
+    ("undeclared target", _doc(arcs=[_GOOD_ARC, _arc(to="w")]),
+     "arc 1 references an undeclared vertex"),
+    ("undeclared source", _doc(arcs=[_arc(**{"from": "w"}), _arc(to="w")]),
+     "arc 0 references an undeclared vertex"),
+    ("symbol outside alphabet", _doc(alphabet=["a"],
+                                     arcs=[_GOOD_ARC, _arc(label="a|b")]),
+     "arc 1 label: symbol 'b' not in alphabet at position 2 in 'a|b'"),
+    ("bad label after undeclared vertex",
+     _doc(arcs=[_arc(to="w"), _arc(label="(a")]),
+     "arc 1 label: unbalanced parenthesis at position 2 in '(a'"),
+    ("undeclared vertex after bad label",
+     _doc(arcs=[_arc(label="c"), _arc(to="w")]),
+     "arc 0 label: symbol 'c' not in alphabet at position 0 in 'c'"),
+    ("bad label and duplicate vertex",
+     _doc(vertices=["u", "v", "v"], arcs=[_arc(label="c")]),
+     "arc 0 label: symbol 'c' not in alphabet at position 0 in 'c'"),
+    ("bad arc and empty vertex", _doc(vertices=[""], arcs=[_without("to")]),
+     "arc 0 needs string field 'to'"),
+    ("empty vertex and undeclared vertex",
+     _doc(vertices=["u", "v", ""], arcs=[_arc(to="w")]),
+     "vertex ids must be nonempty strings"),
+    ("duplicate vertex and undeclared vertex",
+     _doc(vertices=["u", "v", "v"], arcs=[_arc(to="w")]),
+     "duplicate vertex ids"),
+    ("mapping document", MappingProxyType(_doc(arcs=[
+        MappingProxyType(_GOOD_ARC), MappingProxyType(_arc(to="w"))])),
+     "arc 1 references an undeclared vertex"),
+    ("mapping arc without label", MappingProxyType(_doc(arcs=[
+        MappingProxyType(_without("label"))])),
+     "arc 0 needs string field 'label'"),
+]
+
+
+@pytest.mark.parametrize("doc, message", [case[1:] for case in _LOADER_ERRORS],
+                         ids=[case[0] for case in _LOADER_ERRORS])
+def test_parse_schema_errors(doc, message):
+    with pytest.raises(RgpSchemaError) as info:
         parse_rgp(doc)
+    assert str(info.value) == message
+
+
+def test_mapping_document_loads_like_its_dict():
+    doc = _doc(arcs=[_GOOD_ARC, _arc(label="(a|b)+", to="u")])
+    proxy = MappingProxyType({**doc, "arcs": [MappingProxyType(a)
+                                             for a in doc["arcs"]]})
+    assert parse_rgp(proxy) == parse_rgp(doc) == parse_rgp(json.dumps(doc))
+
+
+def test_arc_is_a_named_tuple():
+    label = parse_regex("a+", "a")
+    arc = Arc("u", "v", label)
+    src, dst, got = arc
+    assert (src, dst, got) == ("u", "v", label)
+    assert (arc.src, arc.dst, arc.label) == (src, dst, got)
+    assert arc == ("u", "v", label)
+    assert hash(arc) == hash(("u", "v", label))
+    assert Arc(src="u", dst="v", label=label) == arc
+
+
+def test_two_loads_of_one_database_are_equal_and_share_symbols():
+    text = json.dumps(_doc(vertices=["u", "v", "w"], arcs=[
+        _GOOD_ARC, _arc(label="b", to="w"), _arc(**{"from": "w"}),
+        _arc(label="b", **{"from": "v", "to": "v"})]))
+    first, second = parse_rgp(text), parse_rgp(text)
+    assert first is not second
+    assert first == second
+    assert hash(first) == hash(second)
+    assert all(a.label is b.label for a, b in zip(first.arcs, second.arcs))
+    assert [a.label for a in first.arcs] == [Sym("a"), Sym("b"), Sym("a"),
+                                             Sym("b")]
+    assert first.arcs[0].label is Sym("a")
+    # A loaded pattern equals the same pattern built and checked by hand.
+    by_hand = make_rgp("ab", ["u", "v", "w"], [tuple(a) for a in first.arcs])
+    assert by_hand == first
+    assert hash(by_hand) == hash(first)
 
 
 def test_repeated_labels_parse_as_arc_by_arc():

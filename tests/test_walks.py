@@ -390,6 +390,21 @@ def test_relation_cache_keeps_the_latest_1024_relations():
     clear_relation_cache()
 
 
+def test_relation_cache_hits_on_a_second_load_of_the_target():
+    doc = {"alphabet": ["a", "b"], "vertices": ["x", "y", "z"],
+           "arcs": [{"from": s, "to": d, "label": t} for s, d, t in (
+               ("x", "y", "a"), ("y", "z", "b"), ("z", "x", "a"),
+               ("y", "y", "b"))]}
+    clear_relation_cache()
+    first = relation_for_label(parse_rgp(doc), rx("a.b*"))
+    # The second load and the label parsed again are new objects that
+    # equal the first ones: the lookup hits and runs no search.
+    again = relation_for_label(parse_rgp(doc), rx("a.b*"),
+                               SearchBudget(max_nodes=1))
+    assert again is first
+    clear_relation_cache()
+
+
 def test_deep_path_relation_needs_no_recursion():
     # The walk graph of a+ on a 5 000-vertex path is one chain, so a
     # recursive depth-first search would exceed Python's stack.
