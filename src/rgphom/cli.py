@@ -181,7 +181,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     p = _load_rgp(args.pattern)
     q = _load_rgp(args.target)
     cert = NHomomorphism.from_json(json.loads(Path(args.cert).read_text()))
-    if verify_n_hom(p, q, cert):
+    if verify_n_hom(p, q, cert, _budget(args)):
         _emit({"valid": True})
         return 0
     _emit({"valid": False})
@@ -264,6 +264,7 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("pattern")
     s.add_argument("target")
     s.add_argument("cert")
+    _add_budget(s)
     s.set_defaults(func=_cmd_verify)
 
     return top

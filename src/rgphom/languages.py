@@ -18,6 +18,21 @@ greater than T's. The first counterexample found is therefore the
 shortest, alphabetically first word of L(n1) - L(n2), the same word a
 search over the full subset DFA returns. Nodes already queued are never
 dropped. The search ticks the budget once per node it expands.
+
+It is also pruned by simulation (Abdulla, Chen, Holik, Mayr and
+Vojnar, "When simulation meets antichains", TACAS 2010). Once per call,
+_simulation computes for each n1 state q1 the n2 states that simulate
+it: those that accept every suffix q1 accepts, move for move. A node
+(q1, S) whose S holds such a state leads to no counterexample, so
+inclusion holds at once when the start node is one, and any other is
+dropped before it is kept or queued. No node on the run of a
+counterexample is ever dropped this way, so the first counterexample
+found is still the shortest, alphabetically first word. On e <= e|b*,
+with e = (a|b)*a(a|b)^18, the search ends at its root.
+
+Concatenation inclusion chains the factors' NFAs into one (_chain)
+instead of folding them into a regex, so a witness walk of any length
+is checked without recursion.
 """
 
 from __future__ import annotations
@@ -32,7 +47,7 @@ from .automata import (
 from .errors import (
     TICK_BATCH, CapExceededError, PreconditionError, SearchBudget,
 )
-from .regexes import Concat, RegexAst, sigma_star, symbols
+from .regexes import RegexAst, sigma_star, symbols
 
 DEFAULT_WORD_CAP = 200_000
 
@@ -114,6 +129,9 @@ def _missing_word(n1: Nfa, n2: Nfa, budget: SearchBudget) -> str | None:
 
     if missing(start):
         return ""
+    sim = _simulation(n1, n2, budget)
+    if start[1] & sim[n1.initial]:
+        return None
     # kept[q1]: the minimal masks reached with q1, an antichain.
     kept: list[list[int]] = [[] for _ in range(n1.n_states)]
     kept[n1.initial].append(start[1])
@@ -131,6 +149,8 @@ def _missing_word(n1: Nfa, n2: Nfa, budget: SearchBudget) -> str | None:
             if image is None:
                 image = memo[subset] = _step(subset, masks[ch])
             for t1 in targets:
+                if image & sim[t1]:
+                    continue
                 antichain = kept[t1]
                 if any(not m & ~image for m in antichain):
                     continue
@@ -146,6 +166,54 @@ def _missing_word(n1: Nfa, n2: Nfa, budget: SearchBudget) -> str | None:
     return None
 
 
+def _simulation(n1: Nfa, n2: Nfa, budget: SearchBudget) -> list[int]:
+    """sim[q1]: the bitmask of the n2 states that simulate q1.
+
+    The maximal forward simulation, as a greatest fixpoint: s simulates
+    q1 when s accepts if q1 does, and each move of q1 on a symbol is
+    matched by a move of s on it to a state that simulates the target.
+    Refined on a worklist of n1 states; ticks the budget once per
+    refinement.
+    """
+    # preds[ch][t]: the n2 states that reach t on ch, so that stepping
+    # a mask X on preds[ch] gives the states with a ch-move into X.
+    preds = {ch: [0] * n2.n_states for ch in n1.alphabet}
+    for s in range(n2.n_states):
+        for ch, targets in n2.trans[s].items():
+            row = preds.get(ch)
+            if row is not None:
+                for t in targets:
+                    row[t] |= 1 << s
+    back: list[set[int]] = [set() for _ in range(n1.n_states)]
+    for q in range(n1.n_states):
+        for targets in n1.trans[q].values():
+            for t in targets:
+                back[t].add(q)
+    accepting2 = sum(1 << q for q in n2.accepting)
+    everything = (1 << n2.n_states) - 1
+    sim = [accepting2 if q in n1.accepting else everything
+           for q in range(n1.n_states)]
+    queue = list(range(n1.n_states))
+    queued = [True] * n1.n_states
+    while queue:
+        q1 = queue.pop()
+        queued[q1] = False
+        mask = sim[q1]
+        for ch, targets in n1.trans[q1].items():
+            for t1 in targets:
+                if not mask:
+                    break
+                mask &= _step(sim[t1], preds[ch])
+        if mask != sim[q1]:
+            budget.tick()
+            sim[q1] = mask
+            for p1 in back[q1]:
+                if not queued[p1]:
+                    queued[p1] = True
+                    queue.append(p1)
+    return sim
+
+
 def universality(e: RegexAst, alphabet: Iterable[str],
                  budget: SearchBudget | None = None) -> InclusionReport:
     """Decide L(e) = alphabet*; counterexamples are shortest missing words."""
@@ -157,18 +225,60 @@ def universality(e: RegexAst, alphabet: Iterable[str],
     return language_inclusion(sigma_star(alpha), e, budget)
 
 
-def concat_ast(parts: Sequence[RegexAst]) -> RegexAst:
-    if not parts:
+def concat_inclusion(bs: Sequence[RegexAst], a: RegexAst,
+                     budget: SearchBudget | None = None) -> InclusionReport:
+    """Decide L(b1)...L(bk) <= L(a), on the chain of the factors'
+    NFAs; no regex is built for the concatenation."""
+    if not bs:
         raise PreconditionError("concatenation of zero expressions")
-    acc = parts[0]
-    for part in parts[1:]:
-        acc = Concat(acc, part)
-    return acc
+    counterexample = _missing_word(_chain([_compiled(b) for b in bs]),
+                                   _compiled(a), budget or SearchBudget())
+    return InclusionReport(counterexample is None, counterexample)
 
 
-def concat_inclusion(bs: Sequence[RegexAst], a: RegexAst) -> InclusionReport:
-    """Decide L(b1)...L(bk) <= L(a)."""
-    return language_inclusion(concat_ast(bs), a)
+def _chain(parts: Sequence[Nfa]) -> Nfa:
+    """One epsilon-free NFA for the concatenation of the parts.
+
+    Each part's states are offset past the parts before it. Working
+    right to left, every accepting state of part i gains the moves that
+    start the rest of the chain: the initial-state moves of part i + 1,
+    which already include those of the parts after it where part i + 1
+    accepts the empty word. It stays accepting iff the rest of the
+    chain accepts the empty word.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    base = sum(part.n_states for part in parts)
+    blocks: list[list[dict[str, frozenset[int]]]] = []
+    accepting: set[int] = set()
+    # entry: the moves that start the rest of the chain; rest_nullable:
+    # whether the rest accepts the empty word.
+    entry: dict[str, frozenset[int]] = {}
+    rest_nullable = True
+    for part in reversed(parts):
+        base -= part.n_states
+        rows = []
+        for q in range(part.n_states):
+            row = {ch: frozenset(base + t for t in targets)
+                   for ch, targets in part.trans[q].items()}
+            if q in part.accepting:
+                for ch, targets in entry.items():
+                    row[ch] = row.get(ch, frozenset()) | targets
+                if rest_nullable:
+                    accepting.add(base + q)
+            rows.append(row)
+        blocks.append(rows)
+        entry = rows[part.initial]
+        rest_nullable = base + part.initial in accepting
+    trans = tuple({ch: row[ch] for ch in sorted(row)}
+                  for rows in reversed(blocks) for row in rows)
+    return Nfa(
+        n_states=len(trans),
+        initial=parts[0].initial,
+        accepting=frozenset(accepting),
+        trans=trans,
+        alphabet=tuple(sorted({ch for part in parts for ch in part.alphabet})),
+    )
 
 
 def truncated_words(b: RegexAst, bound: int, cap: int = DEFAULT_WORD_CAP) -> frozenset[str]:

@@ -99,21 +99,25 @@ def n_hom(
     return NHomomorphism(mapping=mapping, witnesses=witnesses)
 
 
-def verify_n_hom(p: Rgp, q: Rgp, h: NHomomorphism) -> bool:
+def verify_n_hom(p: Rgp, q: Rgp, h: NHomomorphism,
+                 budget: SearchBudget | None = None) -> bool:
     """Check a certificate against first principles.
 
     The map must be total from V(p) to V(q), and each pattern arc's
     witness must be a nonempty walk in q with matching endpoints whose
     label concatenation is contained in the arc's label language. A
     certificate with a map key outside V(p) or a witness index outside
-    the pattern's arc indices is rejected.
+    the pattern's arc indices is rejected. The inclusion checks share
+    one budget.
     """
+    budget = budget or SearchBudget()
     if not set(h.mapping) <= set(p.vertices):
         return False
     if not set(h.witnesses) <= set(range(len(p.arcs))):
         return False
+    targets = set(q.vertices)
     for v in p.vertices:
-        if h.mapping.get(v) not in q.vertices:
+        if h.mapping.get(v) not in targets:
             return False
     for i, arc in enumerate(p.arcs):
         walk = h.witnesses.get(i)
@@ -123,7 +127,7 @@ def verify_n_hom(p: Rgp, q: Rgp, h: NHomomorphism) -> bool:
         if start != h.mapping[arc.src] or end != h.mapping[arc.dst]:
             return False
         labels = [q.arcs[j].label for j in walk]
-        if not concat_inclusion(labels, arc.label).holds:
+        if not concat_inclusion(labels, arc.label, budget).holds:
             return False
     return True
 

@@ -17,10 +17,10 @@ import random
 import string
 from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
 from .automata import Dfa, Nfa, compile_nfa, determinize, prefix_closure
 from .errors import CapExceededError, PreconditionError
-from .languages import concat_ast
 from .nhom import NHomomorphism
 from .regexes import (
     Concat,
@@ -39,6 +39,7 @@ __all__ = [
     "GadgetPair",
     "OracleBudget",
     "all_a_lift",
+    "concat_ast",
     "gadget_inclusion",
     "gadget_ncore",
     "gadget_universality",
@@ -257,6 +258,17 @@ def _reachable_from(q: Rgp, source: str) -> frozenset[str]:
         seen.add(v)
         frontier.extend(out[v])
     return frozenset(seen)
+
+
+def concat_ast(parts: Sequence[RegexAst]) -> RegexAst:
+    """The left-nested Concat of the parts, for the oracles here; the
+    library's concat_inclusion chains NFAs instead."""
+    if not parts:
+        raise PreconditionError("concatenation of zero expressions")
+    acc = parts[0]
+    for part in parts[1:]:
+        acc = Concat(acc, part)
+    return acc
 
 
 def _within(nfa: Nfa, dfa: Dfa) -> bool:

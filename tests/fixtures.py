@@ -127,6 +127,17 @@ def a_path(n: int, prefix: str = "q") -> Rgp:
     return make_rgp("a", verts, arcs)
 
 
+def chord_chain(n: int) -> Rgp:
+    """An n-arc 'a' path p0 .. pn, then one a+ arc from p0 to pn.
+
+    Into an 'a' path, the a+ arc (index n) needs a witness walk of n
+    arcs.
+    """
+    verts = [f"p{i}" for i in range(n + 1)]
+    arcs = [(verts[i], verts[i + 1], "a") for i in range(n)]
+    return make_rgp("a", verts, arcs + [(verts[0], verts[n], AP)])
+
+
 def mixed_path(labels: str, prefix: str = "q") -> Rgp:
     """A directed path template from a label string of '.'s and '+'s.
 

@@ -8,6 +8,9 @@ reference_determinize and reference_inclusion are the frozenset subset
 construction and the breadth-first search over the full DFA product
 that the bitmask determinize and the on-the-fly inclusion search
 replaced; they return the same DFA and the same counterexample word.
+reference_simulation is the maximal forward simulation between two
+NFAs as a fixpoint over explicit state pairs, apart from the worklist
+over bitmasks that prunes the inclusion search.
 reference_antichain_images is the walk engine's label images over
 antichains of NFA-state sets, by unpruned product searches and
 pairwise minimisation.
@@ -125,6 +128,30 @@ def reference_inclusion(e1: RegexAst, e2: RegexAst) -> str | None:
                     parents[nxt] = (pair, ch)
                     queue.append(nxt)
     return None
+
+
+def reference_simulation(n1: Nfa, n2: Nfa) -> list[int]:
+    """Per state q1 of n1, the bitmask of the n2 states that simulate it.
+
+    Starts from every pair (q1, s) where s accepts if q1 does, and
+    drops a pair while some move of q1 to t1 on a symbol has no move of
+    s on that symbol to a t2 with (t1, t2) still kept.
+    """
+    pairs = {(q1, s) for q1 in range(n1.n_states) for s in range(n2.n_states)
+             if q1 not in n1.accepting or s in n2.accepting}
+    changed = True
+    while changed:
+        changed = False
+        for q1, s in sorted(pairs):
+            for ch, targets in n1.trans[q1].items():
+                if any(all((t1, t2) not in pairs
+                           for t2 in n2.successors(s, ch))
+                       for t1 in targets):
+                    pairs.discard((q1, s))
+                    changed = True
+                    break
+    return [sum(1 << s for s in range(n2.n_states) if (q1, s) in pairs)
+            for q1 in range(n1.n_states)]
 
 
 def all_walks(q: Rgp, start: str, max_len: int) -> Iterator[tuple[int, ...]]:

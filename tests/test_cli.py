@@ -17,7 +17,8 @@ from rgphom.regexes import parse_regex
 from rgphom.rgp import Rgp, make_rgp, serialize_rgp
 from rgphom.testkit import gadget_ncore, random_rgp
 
-from fixtures import a_path, plus_cycle, two_label_pair, undirected_template
+from fixtures import a_path, chord_chain, plus_cycle, two_label_pair
+from fixtures import undirected_template
 from fixtures import mycielski_fixture, planted_mixed_path
 
 
@@ -82,6 +83,39 @@ def test_verify_rejects_a_tampered_certificate(runner):
     cert.write_text(json.dumps(doc))
     code, out = run("verify", path, path, str(cert))
     assert code == 1 and as_doc(out) == {"valid": False}
+
+
+def test_the_path_route_certificate_of_a_long_walk_verifies(runner):
+    # The path route writes a 600-arc witness for the a+ arc; verify
+    # once crashed on it.
+    save, run, tmp_path = runner
+    p_path, q_path = save("p.json", chord_chain(600)), save("q.json", a_path(700))
+    cert = tmp_path / "cert.json"
+    code, out = run("nhom", p_path, q_path, "--certificate", str(cert))
+    assert code == 0 and as_doc(out)["solver"] == "path"
+    doc = json.loads(cert.read_text())
+    assert len(doc["witnesses"]["600"]) == 600
+    code, out = run("verify", p_path, q_path, str(cert))
+    assert code == 0 and as_doc(out) == {"valid": True}
+    code, out = run("verify", p_path, q_path, str(cert), "--budget", "1")
+    assert code == 3 and out == ""
+    doc["witnesses"]["600"][300] += 1
+    cert.write_text(json.dumps(doc))
+    code, out = run("verify", p_path, q_path, str(cert))
+    assert code == 1 and as_doc(out) == {"valid": False}
+
+
+def test_a_5000_arc_witness_verifies(runner):
+    save, run, tmp_path = runner
+    n = 5000
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({
+        "map": {f"p{i}": f"q{i}" for i in range(n + 1)},
+        "witnesses": {**{str(i): [i] for i in range(n)},
+                      str(n): list(range(n))}}))
+    code, out = run("verify", save("p.json", chord_chain(n)),
+                    save("q.json", a_path(n + 1)), str(cert))
+    assert code == 0 and as_doc(out) == {"valid": True}
 
 
 @pytest.mark.parametrize("extra", ["map key", "arc index"])

@@ -10,13 +10,16 @@ from rgphom.errors import (
     BudgetExceededError, CapExceededError, PreconditionError, SearchBudget,
 )
 from rgphom.languages import (
-    concat_inclusion, language_inclusion, nfa_language_included,
+    _simulation, concat_inclusion, language_inclusion, nfa_language_included,
     truncated_words, truncation_equivalence_check, universality,
 )
 from rgphom.regexes import parse_regex
-from rgphom.testkit import random_regex
+from rgphom.testkit import concat_ast, random_regex
 
-from helpers import inclusion_by_enumeration, reference_inclusion, words_of
+from helpers import (
+    inclusion_by_enumeration, reference_inclusion, reference_simulation,
+    words_of,
+)
 from test_regexes import ast_strategy
 
 
@@ -103,6 +106,36 @@ def test_inclusion_runs_out_of_a_tiny_budget():
     assert 5 < budget.nodes < 10_000
 
 
+def test_simulation_matches_the_pairwise_fixpoint_on_random_pairs():
+    rng = random.Random(2010)
+    related = 0
+    for k in range(500):
+        alpha = ("a", "ab", "abc")[k % 3]
+        n1 = compile_nfa(random_regex(rng, rng.randint(1, 10), alpha))
+        n2 = compile_nfa(random_regex(rng, rng.randint(1, 14), alpha))
+        sim = _simulation(n1, n2, SearchBudget())
+        assert sim == reference_simulation(n1, n2), (k, n1, n2)
+        related += bool(sim[n1.initial] & 1 << n2.initial)
+    # Neither side of the comparison is trivial: the initial states are
+    # related on some pairs and not on others.
+    assert 50 < related < 450
+
+
+def test_a_syntactic_inclusion_ends_at_the_root():
+    # The right side's DFA has 2^19 states, and the search over it once
+    # took 524 309 nodes; its initial state simulates the left one's.
+    e = ends_with_at(18)
+    budget = SearchBudget(max_nodes=100)
+    assert language_inclusion(rx(e), rx(e + "|b*"), budget).holds
+    assert budget.nodes > 0
+
+
+def test_the_simulation_ticks_the_budget():
+    e = ends_with_at(18)
+    with pytest.raises(BudgetExceededError):
+        language_inclusion(rx(e), rx(e + "|b*"), SearchBudget(max_nodes=5))
+
+
 def test_universality_unary_star():
     assert universality(rx("a*", "a"), "a").holds
 
@@ -125,6 +158,25 @@ def test_concat_inclusion_examples():
     report = concat_inclusion([rx("a"), rx("aa")], rx("(aa)*"))
     assert not report.holds
     assert report.counterexample == "aaa"
+
+
+def test_chained_concatenation_matches_the_folded_regex():
+    # Verdict and word both, against one NFA compiled from the
+    # left-nested Concat; short factors are often nullable, which
+    # carries a part's accepting states past the next part.
+    rng = random.Random(1995)
+    holds = 0
+    for k in range(1000):
+        alpha = ("a", "ab", "abc")[k % 3]
+        bs = [random_regex(rng, rng.randint(1, 5), alpha)
+              for _ in range(rng.randint(1, 4))]
+        a = random_regex(rng, rng.randint(1, 10), alpha)
+        report = concat_inclusion(bs, a)
+        assert report == language_inclusion(concat_ast(bs), a), (k, bs, a)
+        holds += report.holds
+    assert 50 < holds < 950
+    with pytest.raises(PreconditionError):
+        concat_inclusion([], rx("a"))
 
 
 def test_truncated_words_examples():

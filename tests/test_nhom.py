@@ -17,7 +17,9 @@ from rgphom.rgp import delete_vertex, make_rgp
 from rgphom.testkit import random_rgp
 
 from fixtures import (
+    a_path,
     alternating_path,
+    chord_chain,
     core_tree,
     glued_cycles,
     plus_cycle,
@@ -114,6 +116,35 @@ def test_verify_rejects_extra_keys(extra):
     else:
         witnesses[1 if extra == "arc index" else -1] = witnesses[0]
     assert not verify_n_hom(p, q, NHomomorphism(mapping, witnesses))
+
+
+def chord_chain_certificate(n: int) -> NHomomorphism:
+    """chord_chain(n) onto a_path(n + 1), vertex by vertex."""
+    return NHomomorphism({f"p{i}": f"q{i}" for i in range(n + 1)},
+                         {**{i: (i,) for i in range(n)}, n: tuple(range(n))})
+
+
+@pytest.mark.parametrize("n", [600, 5000])
+def test_certificates_with_long_witness_walks_verify(n):
+    # Folding a witness's labels into one nested Concat overflowed the
+    # recursion limit from 499 arcs on.
+    p, q = chord_chain(n), a_path(n + 1)
+    h = chord_chain_certificate(n)
+    assert verify_n_hom(p, q, h)
+    walk = list(h.witnesses[n])
+    walk[n // 2] += 1
+    h.witnesses[n] = tuple(walk)
+    assert not verify_n_hom(p, q, h)
+
+
+def test_verification_spends_the_budget():
+    p, q = chord_chain(600), a_path(601)
+    h = chord_chain_certificate(600)
+    with pytest.raises(BudgetExceededError):
+        verify_n_hom(p, q, h, SearchBudget(max_nodes=1))
+    budget = SearchBudget()
+    assert verify_n_hom(p, q, h, budget)
+    assert budget.nodes > 1
 
 
 def test_certificates_carry_exactly_the_pattern_keys():
