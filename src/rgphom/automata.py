@@ -1,11 +1,29 @@
 """Finite automata compiled from regex ASTs.
 
-NFAs are epsilon-free: the Thompson construction builds epsilon arcs
-internally and they are eliminated (and unreachable states trimmed)
-before the automaton is returned. The resulting state count is at most
-twice the AST node count. DFAs come from the reachable-subset
-construction and are total over their declared alphabet, with the empty
-subset acting as an explicit sink when it is reachable.
+compile_nfa builds the position automaton (Glushkov 1961; McNaughton
+and Yamada 1960) in one post-order pass over the AST, on an explicit
+stack. The symbol occurrences are numbered 1..m from left to right; the
+child that plus() shares is numbered anew at each of its two
+occurrences. Each node gets nullable, first and last, with first and
+last as bitmasks of positions, and follow[p] collects the positions
+that can come right after p: Concat(l, r) adds first(r) to follow[p]
+for p in last(l), and Star(c) adds first(c) to follow[p] for p in
+last(c). State 0 moves into first; state p moves into follow[p]; a
+move on ch goes to the positions that hold ch. The accepting states are
+last, plus state 0 when the expression accepts the empty word. So the
+NFA has one state per symbol occurrence plus one, and no epsilon arcs.
+Every position is reachable, as no AST denotes the empty language.
+
+This is exactly the Thompson NFA after epsilon elimination and
+trimming: a trimmed Thompson state is the initial state or the target
+of one symbol occurrence, and the epsilon closure of that target holds
+the sources of the occurrences in its follow set. States are
+renumbered in breadth-first discovery order, symbols in sorted order
+and targets ascending, so the two constructions give equal Nfa values.
+
+DFAs come from the reachable-subset construction and are total over
+their declared alphabet, with the empty subset acting as an explicit
+sink when it is reachable.
 
 Sets of NFA states are int bitmasks: bit q stands for state q. A subset
 is stepped on a symbol by OR-ing the successor masks of its states
@@ -53,90 +71,96 @@ class Dfa:
 
 
 def compile_nfa(node: RegexAst) -> Nfa:
-    """Build an epsilon-free NFA for the expression."""
-    builder = _Builder()
-    initial, accepts = builder.build(node)
-    return builder.finish(initial, accepts)
+    """Build the position automaton of the expression (module docstring)."""
+    # chars[p] is the symbol at position p, and follow[p] the bitmask of
+    # the positions that can come right after it; position 0 is the
+    # initial state, and follow[0] ends up as first(node).
+    chars = [""]
+    follow = [0]
+    # Post-order on an explicit stack. A composite node is pushed as its
+    # class, which marks where to combine, under its children. `done`
+    # holds (nullable, first, last) of each finished subexpression.
+    todo: list = [node]
+    done: list[tuple[bool, int, int]] = []
+    while todo:
+        n = todo.pop()
+        kind = type(n)
+        if kind is Sym:
+            bit = 1 << len(chars)
+            chars.append(n.char)
+            follow.append(0)
+            done.append((False, bit, bit))
+        elif kind is Concat or kind is Union:
+            todo += (kind, n.right, n.left)
+        elif kind is Star:
+            todo += (Star, n.child)
+        elif n is Concat:
+            r_null, r_first, r_last = done.pop()
+            l_null, l_first, l_last = done.pop()
+            for p in _members(l_last):
+                follow[p] |= r_first
+            done.append((l_null and r_null,
+                         l_first | r_first if l_null else l_first,
+                         l_last | r_last if r_null else r_last))
+        elif n is Union:
+            r_null, r_first, r_last = done.pop()
+            l_null, l_first, l_last = done.pop()
+            done.append((l_null or r_null, l_first | r_first, l_last | r_last))
+        elif n is Star:
+            _, first, last = done.pop()
+            for p in _members(last):
+                follow[p] |= first
+            done.append((True, first, last))
+        else:
+            raise TypeError(f"not a regex node: {n!r}")
+    nullable, follow[0], last = done.pop()
 
-
-class _Builder:
-    def __init__(self) -> None:
-        self.count = 0
-        self.sym_edges: list[tuple[int, str, int]] = []
-        self.eps_edges: list[tuple[int, int]] = []
-
-    def new_state(self) -> int:
-        self.count += 1
-        return self.count - 1
-
-    def build(self, node: RegexAst) -> tuple[int, list[int]]:
-        if isinstance(node, Sym):
-            s, t = self.new_state(), self.new_state()
-            self.sym_edges.append((s, node.char, t))
-            return s, [t]
-        if isinstance(node, Union):
-            s = self.new_state()
-            li, la = self.build(node.left)
-            ri, ra = self.build(node.right)
-            self.eps_edges += [(s, li), (s, ri)]
-            return s, la + ra
-        if isinstance(node, Concat):
-            li, la = self.build(node.left)
-            ri, ra = self.build(node.right)
-            self.eps_edges += [(a, ri) for a in la]
-            return li, ra
-        if isinstance(node, Star):
-            s = self.new_state()
-            ci, ca = self.build(node.child)
-            self.eps_edges.append((s, ci))
-            self.eps_edges += [(a, s) for a in ca]
-            return s, [s]
-        raise TypeError(f"not a regex node: {node!r}")
-
-    def finish(self, initial: int, accepts: list[int]) -> Nfa:
-        eps: list[set[int]] = [set() for _ in range(self.count)]
-        for a, b in self.eps_edges:
-            eps[a].add(b)
-        closures = [_reach(eps, (q,)) for q in range(self.count)]
-
-        accepting = set(accepts)
-        raw: list[dict[str, set[int]]] = [{} for _ in range(self.count)]
-        by_src: list[list[tuple[str, int]]] = [[] for _ in range(self.count)]
-        for s, ch, t in self.sym_edges:
-            by_src[s].append((ch, t))
-        new_accepting = set()
-        for q in range(self.count):
-            for q2 in closures[q]:
-                for ch, t in by_src[q2]:
-                    raw[q].setdefault(ch, set()).add(t)
-            if closures[q] & accepting:
-                new_accepting.add(q)
-
-        # Trim to states reachable from the initial one, renumbering in
-        # discovery order so construction is deterministic.
-        order: list[int] = [initial]
-        index = {initial: 0}
-        pos = 0
-        while pos < len(order):
-            q = order[pos]
-            pos += 1
-            for ch in sorted(raw[q]):
-                for t in sorted(raw[q][ch]):
-                    if t not in index:
-                        index[t] = len(order)
+    # The move of state q on ch goes to follow[q] & at[ch]. States are
+    # renumbered in breadth-first discovery order, symbols in sorted
+    # order and targets ascending.
+    at: dict[str, int] = {}
+    for p in range(1, len(chars)):
+        at[chars[p]] = at.get(chars[p], 0) | 1 << p
+    symbols = sorted(at.items())
+    order = [0]
+    index = {0: 0}
+    trans: list[dict[str, frozenset[int]]] = []
+    for q in order:
+        after = follow[q]
+        row = {}
+        for ch, mask in symbols:
+            moves = after & mask
+            if moves:
+                targets = []
+                while moves:
+                    low = moves & -moves
+                    t = low.bit_length() - 1
+                    moves ^= low
+                    state = index.get(t)
+                    if state is None:
+                        state = index[t] = len(order)
                         order.append(t)
-        trans = tuple(
-            {ch: frozenset(index[t] for t in raw[q][ch] if t in index)
-             for ch in sorted(raw[q])}
-            for q in order)
-        alphabet = tuple(sorted({ch for d in trans for ch in d}))
-        return Nfa(
-            n_states=len(order),
-            initial=0,
-            accepting=frozenset(index[q] for q in new_accepting if q in index),
-            trans=trans,
-            alphabet=alphabet,
-        )
+                    targets.append(state)
+                row[ch] = frozenset(targets)
+        trans.append(row)
+    accepting = [index[q] for q in _members(last | 1 if nullable else last)]
+    return Nfa(
+        n_states=len(order),
+        initial=0,
+        accepting=frozenset(accepting),
+        trans=tuple(trans),
+        alphabet=tuple(ch for ch, _ in symbols),
+    )
+
+
+def _members(mask: int) -> list[int]:
+    """The bits set in mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def nfa_accepts(nfa: Nfa, word: str) -> bool:

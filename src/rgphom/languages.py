@@ -231,12 +231,13 @@ def concat_inclusion(bs: Sequence[RegexAst], a: RegexAst,
     NFAs; no regex is built for the concatenation."""
     if not bs:
         raise PreconditionError("concatenation of zero expressions")
-    counterexample = _missing_word(_chain([_compiled(b) for b in bs]),
-                                   _compiled(a), budget or SearchBudget())
+    budget = budget or SearchBudget()
+    counterexample = _missing_word(_chain([_compiled(b) for b in bs], budget),
+                                   _compiled(a), budget)
     return InclusionReport(counterexample is None, counterexample)
 
 
-def _chain(parts: Sequence[Nfa]) -> Nfa:
+def _chain(parts: Sequence[Nfa], budget: SearchBudget) -> Nfa:
     """One epsilon-free NFA for the concatenation of the parts.
 
     Each part's states are offset past the parts before it. Working
@@ -244,7 +245,9 @@ def _chain(parts: Sequence[Nfa]) -> Nfa:
     start the rest of the chain: the initial-state moves of part i + 1,
     which already include those of the parts after it where part i + 1
     accepts the empty word. It stays accepting iff the rest of the
-    chain accepts the empty word.
+    chain accepts the empty word. A run of factors that accept the
+    empty word makes the copies quadratic in its length, so the budget
+    is ticked once per move copied.
     """
     if len(parts) == 1:
         return parts[0]
@@ -254,6 +257,7 @@ def _chain(parts: Sequence[Nfa]) -> Nfa:
     # entry: the moves that start the rest of the chain; rest_nullable:
     # whether the rest accepts the empty word.
     entry: dict[str, frozenset[int]] = {}
+    moves = 0
     rest_nullable = True
     for part in reversed(parts):
         base -= part.n_states
@@ -262,6 +266,7 @@ def _chain(parts: Sequence[Nfa]) -> Nfa:
             row = {ch: frozenset(base + t for t in targets)
                    for ch, targets in part.trans[q].items()}
             if q in part.accepting:
+                budget.tick(moves)
                 for ch, targets in entry.items():
                     row[ch] = row.get(ch, frozenset()) | targets
                 if rest_nullable:
@@ -269,6 +274,7 @@ def _chain(parts: Sequence[Nfa]) -> Nfa:
             rows.append(row)
         blocks.append(rows)
         entry = rows[part.initial]
+        moves = sum(map(len, entry.values()))
         rest_nullable = base + part.initial in accepting
     trans = tuple({ch: row[ch] for ch in sorted(row)}
                   for rows in reversed(blocks) for row in rows)

@@ -108,7 +108,7 @@ def verify_n_hom(p: Rgp, q: Rgp, h: NHomomorphism,
     label concatenation is contained in the arc's label language. A
     certificate with a map key outside V(p) or a witness index outside
     the pattern's arc indices is rejected. The inclusion checks share
-    one budget.
+    one budget, and each distinct one is decided once.
     """
     budget = budget or SearchBudget()
     if not set(h.mapping) <= set(p.vertices):
@@ -119,6 +119,7 @@ def verify_n_hom(p: Rgp, q: Rgp, h: NHomomorphism,
     for v in p.vertices:
         if h.mapping.get(v) not in targets:
             return False
+    decided: dict[tuple[tuple[RegexAst, ...], RegexAst], bool] = {}
     for i, arc in enumerate(p.arcs):
         walk = h.witnesses.get(i)
         if not walk or not is_walk(q, walk):
@@ -126,8 +127,12 @@ def verify_n_hom(p: Rgp, q: Rgp, h: NHomomorphism,
         start, end = walk_endpoints(q, walk)
         if start != h.mapping[arc.src] or end != h.mapping[arc.dst]:
             return False
-        labels = [q.arcs[j].label for j in walk]
-        if not concat_inclusion(labels, arc.label, budget).holds:
+        key = (tuple(q.arcs[j].label for j in walk), arc.label)
+        holds = decided.get(key)
+        if holds is None:
+            holds = decided[key] = concat_inclusion(
+                key[0], arc.label, budget).holds
+        if not holds:
             return False
     return True
 

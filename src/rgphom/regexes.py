@@ -7,6 +7,13 @@ There are no empty-language or empty-word literals, so every AST
 denotes a nonempty language. `x+` is sugar for `x.x*` and is expanded
 at parse time.
 
+parse_regex reads the text in one loop with no recursion, so nesting
+depth is bounded only by memory. It keeps the union and the
+concatenation read so far in the innermost open group, and saves those
+of the enclosing groups on a stack when a parenthesis opens. Postfix
+operators apply to the operand just read; union and concatenation
+fold left. A group adds no node of its own: `((a))` parses to `a`.
+
 There is one `Sym` object per character: `Sym("a") is Sym("a")`, and a
 `Sym` compares and hashes by identity, in C. Equality of `Union`,
 `Concat` and `Star` stays structural, and stops at identical `Sym`s.
@@ -105,86 +112,68 @@ def sigma_star(alphabet: Iterable[str]) -> RegexAst:
     return Star(acc)
 
 
-class _Parser:
-    """Recursive-descent parser; union and concatenation fold left."""
-
-    def __init__(self, text: str, alphabet: frozenset[str]):
-        self.text = text
-        self.alphabet = alphabet
-        self.pos = 0
-
-    def error(self, message: str) -> RegexParseError:
-        return RegexParseError(f"{message} at position {self.pos} in {self.text!r}")
-
-    def peek(self) -> str | None:
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def parse(self) -> RegexAst:
-        if not self.text:
-            raise self.error("empty expression")
-        node = self.union()
-        if self.pos != len(self.text):
-            raise self.error("unexpected character")
-        return node
-
-    def union(self) -> RegexAst:
-        node = self.concat()
-        while self.peek() == "|":
-            self.pos += 1
-            node = Union(node, self.concat())
-        return node
-
-    def concat(self) -> RegexAst:
-        node = self.postfix()
-        while True:
-            ch = self.peek()
-            if ch == ".":
-                self.pos += 1
-                node = Concat(node, self.postfix())
-            elif ch is not None and ch not in "|)*+.":
-                node = Concat(node, self.postfix())
-            else:
-                return node
-
-    def postfix(self) -> RegexAst:
-        node = self.atom()
-        while True:
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
-                node = Star(node)
-            elif ch == "+":
-                self.pos += 1
-                node = plus(node)
-            else:
-                return node
-
-    def atom(self) -> RegexAst:
-        ch = self.peek()
-        if ch is None:
-            raise self.error("expected a symbol or group")
-        if ch == "(":
-            self.pos += 1
-            node = self.union()
-            if self.peek() != ")":
-                raise self.error("unbalanced parenthesis")
-            self.pos += 1
-            return node
-        if ch in _META:
-            raise self.error(f"operator {ch!r} has no operand")
-        if ch not in self.alphabet:
-            raise self.error(f"symbol {ch!r} not in alphabet")
-        self.pos += 1
-        return Sym(ch)
-
-
 def parse_regex(text: str, alphabet: Iterable[str]) -> RegexAst:
     """Parse a surface expression whose symbols must come from alphabet."""
     alpha = frozenset(alphabet)
     bad = sorted(c for c in alpha if len(c) != 1 or c in _META)
     if bad:
         raise RegexParseError(f"invalid alphabet entries: {bad}")
-    return _Parser(text, alpha).parse()
+
+    def error(message: str) -> RegexParseError:
+        return RegexParseError(f"{message} at position {pos} in {text!r}")
+
+    end = len(text)
+    pos = 0
+    if not end:
+        raise error("empty expression")
+    # The union and the concatenation read so far in the innermost open
+    # group, and those of the groups around it, outermost first.
+    union: RegexAst | None = None
+    concat: RegexAst | None = None
+    groups: list[tuple[RegexAst | None, RegexAst | None]] = []
+    while True:
+        # An operand: a symbol, or the opening of a group.
+        ch = text[pos] if pos < end else None
+        if ch == "(":
+            groups.append((union, concat))
+            union = concat = None
+            pos += 1
+            continue
+        if ch is None:
+            raise error("expected a symbol or group")
+        if ch in _META:
+            raise error(f"operator {ch!r} has no operand")
+        if ch not in alpha:
+            raise error(f"symbol {ch!r} not in alphabet")
+        pos += 1
+        node: RegexAst = Sym(ch)
+        # After an operand: its postfix operators, then what follows it.
+        while True:
+            while pos < end and text[pos] in "*+":
+                node = Star(node) if text[pos] == "*" else plus(node)
+                pos += 1
+            concat = node if concat is None else Concat(concat, node)
+            ch = text[pos] if pos < end else None
+            if ch == ".":
+                pos += 1
+                break
+            if ch is not None and ch not in "|)":
+                break
+            union = concat if union is None else Union(union, concat)
+            concat = None
+            if ch == "|":
+                pos += 1
+                break
+            if ch is None:
+                if groups:
+                    raise error("unbalanced parenthesis")
+                return union
+            if not groups:
+                raise error("unexpected character")
+            # ch closes the innermost group, whose union is the operand.
+            pos += 1
+            node = union
+            union, concat = groups.pop()
 
 
 # Precedence levels used when re-rendering: union < concat < postfix/atom.

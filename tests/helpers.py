@@ -14,6 +14,10 @@ over bitmasks that prunes the inclusion search.
 reference_antichain_images is the walk engine's label images over
 antichains of NFA-state sets, by unpruned product searches and
 pairwise minimisation.
+reference_compile_nfa and reference_parse_regex are the Thompson
+construction with epsilon elimination and the recursive-descent parser
+that the position automaton and the loop parser replaced; they return
+equal NFAs, and equal ASTs or the same parse errors.
 union_find_components is the union-find that connectivity checks are
 compared against; it shares no search with the library.
 """
@@ -25,9 +29,10 @@ from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from rgphom.automata import Dfa, Nfa, compile_nfa, determinize
+from rgphom.errors import RegexParseError
 from rgphom.languages import concat_inclusion
-from rgphom.regexes import Concat, RegexAst, Star, Sym, Union
-from rgphom.rgp import Arc, Rgp
+from rgphom.regexes import _META, Concat, RegexAst, Star, Sym, Union, plus
+from rgphom.rgp import Arc, Rgp, _reach
 
 
 def words_of(node: RegexAst, limit: int) -> set[str]:
@@ -343,6 +348,179 @@ def reference_csp(variables: Sequence[str],
 
     if propagate(list(variables)):
         yield from search({})
+
+
+def reference_compile_nfa(node: RegexAst) -> Nfa:
+    """The epsilon-free NFA of the expression by the Thompson
+    construction: epsilon closures, then a trim renumbered in
+    breadth-first discovery order, symbols sorted and targets
+    ascending."""
+    builder = _Thompson()
+    initial, accepts = builder.build(node)
+    return builder.finish(initial, accepts)
+
+
+class _Thompson:
+    def __init__(self) -> None:
+        self.count = 0
+        self.sym_edges: list[tuple[int, str, int]] = []
+        self.eps_edges: list[tuple[int, int]] = []
+
+    def new_state(self) -> int:
+        self.count += 1
+        return self.count - 1
+
+    def build(self, node: RegexAst) -> tuple[int, list[int]]:
+        if isinstance(node, Sym):
+            s, t = self.new_state(), self.new_state()
+            self.sym_edges.append((s, node.char, t))
+            return s, [t]
+        if isinstance(node, Union):
+            s = self.new_state()
+            li, la = self.build(node.left)
+            ri, ra = self.build(node.right)
+            self.eps_edges += [(s, li), (s, ri)]
+            return s, la + ra
+        if isinstance(node, Concat):
+            li, la = self.build(node.left)
+            ri, ra = self.build(node.right)
+            self.eps_edges += [(a, ri) for a in la]
+            return li, ra
+        if isinstance(node, Star):
+            s = self.new_state()
+            ci, ca = self.build(node.child)
+            self.eps_edges.append((s, ci))
+            self.eps_edges += [(a, s) for a in ca]
+            return s, [s]
+        raise TypeError(f"not a regex node: {node!r}")
+
+    def finish(self, initial: int, accepts: list[int]) -> Nfa:
+        eps: list[set[int]] = [set() for _ in range(self.count)]
+        for a, b in self.eps_edges:
+            eps[a].add(b)
+        closures = [_reach(eps, (q,)) for q in range(self.count)]
+
+        accepting = set(accepts)
+        raw: list[dict[str, set[int]]] = [{} for _ in range(self.count)]
+        by_src: list[list[tuple[str, int]]] = [[] for _ in range(self.count)]
+        for s, ch, t in self.sym_edges:
+            by_src[s].append((ch, t))
+        new_accepting = set()
+        for q in range(self.count):
+            for q2 in closures[q]:
+                for ch, t in by_src[q2]:
+                    raw[q].setdefault(ch, set()).add(t)
+            if closures[q] & accepting:
+                new_accepting.add(q)
+
+        # Trim to states reachable from the initial one, renumbering in
+        # discovery order so construction is deterministic.
+        order: list[int] = [initial]
+        index = {initial: 0}
+        pos = 0
+        while pos < len(order):
+            q = order[pos]
+            pos += 1
+            for ch in sorted(raw[q]):
+                for t in sorted(raw[q][ch]):
+                    if t not in index:
+                        index[t] = len(order)
+                        order.append(t)
+        trans = tuple(
+            {ch: frozenset(index[t] for t in raw[q][ch] if t in index)
+             for ch in sorted(raw[q])}
+            for q in order)
+        alphabet = tuple(sorted({ch for d in trans for ch in d}))
+        return Nfa(
+            n_states=len(order),
+            initial=0,
+            accepting=frozenset(index[q] for q in new_accepting if q in index),
+            trans=trans,
+            alphabet=alphabet,
+        )
+
+
+class _RecursiveParser:
+    """Recursive descent; union and concatenation fold left."""
+
+    def __init__(self, text: str, alphabet: frozenset[str]):
+        self.text = text
+        self.alphabet = alphabet
+        self.pos = 0
+
+    def error(self, message: str) -> RegexParseError:
+        return RegexParseError(f"{message} at position {self.pos} in {self.text!r}")
+
+    def peek(self) -> str | None:
+        return self.text[self.pos] if self.pos < len(self.text) else None
+
+    def parse(self) -> RegexAst:
+        if not self.text:
+            raise self.error("empty expression")
+        node = self.union()
+        if self.pos != len(self.text):
+            raise self.error("unexpected character")
+        return node
+
+    def union(self) -> RegexAst:
+        node = self.concat()
+        while self.peek() == "|":
+            self.pos += 1
+            node = Union(node, self.concat())
+        return node
+
+    def concat(self) -> RegexAst:
+        node = self.postfix()
+        while True:
+            ch = self.peek()
+            if ch == ".":
+                self.pos += 1
+                node = Concat(node, self.postfix())
+            elif ch is not None and ch not in "|)*+.":
+                node = Concat(node, self.postfix())
+            else:
+                return node
+
+    def postfix(self) -> RegexAst:
+        node = self.atom()
+        while True:
+            ch = self.peek()
+            if ch == "*":
+                self.pos += 1
+                node = Star(node)
+            elif ch == "+":
+                self.pos += 1
+                node = plus(node)
+            else:
+                return node
+
+    def atom(self) -> RegexAst:
+        ch = self.peek()
+        if ch is None:
+            raise self.error("expected a symbol or group")
+        if ch == "(":
+            self.pos += 1
+            node = self.union()
+            if self.peek() != ")":
+                raise self.error("unbalanced parenthesis")
+            self.pos += 1
+            return node
+        if ch in _META:
+            raise self.error(f"operator {ch!r} has no operand")
+        if ch not in self.alphabet:
+            raise self.error(f"symbol {ch!r} not in alphabet")
+        self.pos += 1
+        return Sym(ch)
+
+
+def reference_parse_regex(text: str, alphabet: Iterable[str]) -> RegexAst:
+    """parse_regex by recursive descent, with the same ASTs and the same
+    error messages and positions."""
+    alpha = frozenset(alphabet)
+    bad = sorted(c for c in alpha if len(c) != 1 or c in _META)
+    if bad:
+        raise RegexParseError(f"invalid alphabet entries: {bad}")
+    return _RecursiveParser(text, alpha).parse()
 
 
 def union_find_components(vertices: Sequence[str],

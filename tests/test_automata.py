@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 from rgphom.automata import (
     compile_nfa, determinize, dfa_accepts, nfa_accepts, prefix_closure,
 )
-from rgphom.errors import BudgetExceededError, SearchBudget
+from rgphom.errors import BudgetExceededError, RegexParseError, SearchBudget
 from rgphom.regexes import Star, Sym, node_count, parse_regex, plus
 from rgphom.testkit import random_regex
 
-from helpers import all_words, reference_determinize, words_of
+from helpers import (
+    all_words, reference_compile_nfa, reference_determinize, words_of,
+)
 from test_regexes import ast_strategy
 
 
@@ -35,6 +37,37 @@ def test_compile_plus_rejects_empty_word():
     nfa = compile_nfa(plus(Sym("a")))
     for n in range(7):
         assert nfa_accepts(nfa, "a" * n) == (n >= 1)
+
+
+def test_compile_counts_one_state_per_symbol_occurrence():
+    # plus() shares its child, and each of the two occurrences gets its
+    # own positions: 1 + 2 + 2 states for (ab)+.
+    node = parse_regex("(ab)+", "ab")
+    assert node.left is node.right.child
+    nfa = compile_nfa(node)
+    assert nfa.n_states == 5
+    assert nfa == reference_compile_nfa(node)
+
+
+def test_compile_matches_the_thompson_construction():
+    # Same states, numbering, moves and accepting set as the Thompson
+    # NFA after epsilon elimination and trimming: on random ASTs, and on
+    # parsed strings whose + shares a child between two occurrences.
+    rng = random.Random(11)
+    for k in range(5000):
+        alpha = ("a", "ab", "abc")[k % 3]
+        node = random_regex(rng, rng.randint(1, 24), alpha)
+        assert compile_nfa(node) == reference_compile_nfa(node)
+    parsed = 0
+    while parsed < 5000:
+        text = "".join(rng.choice("ab()|*+.")
+                       for _ in range(rng.randint(1, 16)))
+        try:
+            node = parse_regex(text, "ab")
+        except RegexParseError:
+            continue
+        parsed += 1
+        assert compile_nfa(node) == reference_compile_nfa(node), text
 
 
 def test_determinize_single_symbol_has_explicit_sink():

@@ -372,11 +372,33 @@ def test_back_to_back_runs_share_no_state(runner):
     assert code in (0, 1) and "exists" in as_doc(out)
 
 
-# Labels deep enough to overflow the recursive regex walks.
+# Labels that a recursive walk over the text or the AST cannot take:
+# `a` inside 3000 pairs of parentheses, and the 5000-symbol word.
 DEEP_LABELS = ("(" * 3000 + "a" + ")" * 3000, "a" * 5000)
 
 
-@pytest.mark.parametrize("label", DEEP_LABELS, ids=("nested", "long"))
+def test_a_deeply_nested_label_is_included(capsys):
+    code = main(["include", DEEP_LABELS[0], "a", "--alphabet", "a"])
+    assert code == 0 and as_doc(capsys.readouterr().out) == {"holds": True}
+
+
+def test_core_of_a_gadget_with_a_deeply_nested_label(runner):
+    _, run, tmp_path = runner
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({
+        "alphabet": ["a", "b", "c"], "vertices": ["x", "y", "z"],
+        "arcs": [{"from": "x", "to": "y", "label": DEEP_LABELS[0]},
+                 {"from": "x", "to": "z", "label": "c|(a|b)"}]}))
+    code, out = run("core", str(path))
+    # L(a) <= L(a|b), so z folds onto y and the c|(a|b) arc goes.
+    assert code == 1
+    assert as_doc(out) == {
+        "core": False, "removed_arc": 1,
+        "retraction": {"map": {"x": "x", "y": "y", "z": "y"},
+                       "witnesses": {"0": [0], "1": [0]}}}
+
+
+@pytest.mark.parametrize("label", DEEP_LABELS[1:], ids=("long",))
 def test_unexpected_failures_exit_four(capsys, label):
     code = main(["include", label, "a", "--alphabet", "a"])
     captured = capsys.readouterr()
@@ -389,7 +411,7 @@ def test_unexpected_failures_leave_no_traceback():
     src = str(Path(rgphom.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
-        [sys.executable, "-m", "rgphom.cli", "include", DEEP_LABELS[0], "a",
+        [sys.executable, "-m", "rgphom.cli", "include", DEEP_LABELS[1], "a",
          "--alphabet", "a"],
         capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 4 and done.stdout == ""

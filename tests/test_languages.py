@@ -152,6 +152,17 @@ def test_universality_requires_covering_alphabet():
         universality(rx("a|b"), "a")
 
 
+def test_a_chain_of_nullable_factors_spends_the_budget():
+    # Each accepting state of a run of a* factors gets the entry moves of
+    # every later factor, so the chain grows quadratically in the run.
+    factors = [rx("a*")] * 1000
+    with pytest.raises(BudgetExceededError):
+        concat_inclusion(factors, rx("a*"), SearchBudget(max_nodes=10_000))
+    budget = SearchBudget()
+    assert concat_inclusion(factors[:100], rx("a*"), budget).holds
+    assert budget.nodes >= 100 * 99 // 2
+
+
 def test_concat_inclusion_examples():
     assert concat_inclusion([rx("a"), rx("a*")], rx("a*")).holds
     assert concat_inclusion([rx("a"), rx("a")], rx("(aa)*")).holds

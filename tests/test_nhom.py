@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import rgphom.nhom
 from rgphom.errors import BudgetExceededError, PreconditionError, SearchBudget
 from rgphom.nhom import (
     NHomomorphism,
@@ -145,6 +146,28 @@ def test_verification_spends_the_budget():
     budget = SearchBudget()
     assert verify_n_hom(p, q, h, budget)
     assert budget.nodes > 1
+
+
+def test_verification_decides_each_distinct_inclusion_once(monkeypatch):
+    calls = []
+    decide = rgphom.nhom.concat_inclusion
+
+    def counted(bs, a, budget=None):
+        calls.append((tuple(bs), a))
+        return decide(bs, a, budget)
+
+    monkeypatch.setattr(rgphom.nhom, "concat_inclusion", counted)
+    p, q = chord_chain(600), a_path(601)
+    assert verify_n_hom(p, q, chord_chain_certificate(600))
+    # 600 arcs check a <= a, and the a+ arc its 600-factor chain.
+    assert len(calls) == len(set(calls)) == 2
+
+
+def test_verification_keys_each_inclusion_on_the_arc_label_too():
+    p = make_rgp("ab", ["x", "y"], [("x", "y", "a"), ("x", "y", "b")])
+    q = make_rgp("ab", ["u", "v"], [("u", "v", "a")])
+    h = NHomomorphism({"x": "u", "y": "v"}, {0: (0,), 1: (0,)})
+    assert not verify_n_hom(p, q, h)
 
 
 def test_certificates_carry_exactly_the_pattern_keys():

@@ -3,16 +3,21 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+from rgphom.automata import compile_nfa
 from rgphom.errors import RegexParseError
 from rgphom.regexes import (
     Concat, Star, Sym, Union,
     is_plus, node_count, parse_regex, plus, serialize_regex, sigma_star,
     symbols,
 )
+
+from helpers import reference_parse_regex
 
 
 def test_parse_single_symbol():
@@ -82,6 +87,52 @@ def test_parse_stacked_postfix():
 def test_parse_errors(bad):
     with pytest.raises(RegexParseError):
         parse_regex(bad, "ab")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty expression at position 0 in ''"),
+    ("(a", "unbalanced parenthesis at position 2 in '(a'"),
+    ("a)", "unexpected character at position 1 in 'a)'"),
+    ("a||b", "operator '|' has no operand at position 2 in 'a||b'"),
+    ("a.", "expected a symbol or group at position 2 in 'a.'"),
+    ("ac", "symbol 'c' not in alphabet at position 1 in 'ac'"),
+    ("()", "operator ')' has no operand at position 1 in '()'"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(RegexParseError) as caught:
+        parse_regex(text, "ab")
+    assert str(caught.value) == message
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text, "ab")
+    except RegexParseError as exc:
+        return str(exc)
+
+
+def test_parse_matches_recursive_descent():
+    # The same AST, or the same error at the same position, on seeded
+    # strings of which most are malformed; c is outside the alphabet.
+    rng = random.Random(3)
+    for _ in range(100_000):
+        text = "".join(rng.choice("ab()|*+.c")
+                       for _ in range(rng.randint(0, 12)))
+        assert (_parse_outcome(parse_regex, text)
+                == _parse_outcome(reference_parse_regex, text)), text
+
+
+@pytest.mark.parametrize("label", ["(" * 3000 + "a" + ")" * 3000, "a" * 5000],
+                         ids=["nested", "long"])
+def test_deep_labels_parse_and_compile_without_recursion(label):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        nfa = compile_nfa(parse_regex(label, "a"))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert nfa.n_states == label.count("a") + 1
+    assert nfa.accepting == frozenset((nfa.n_states - 1,))
 
 
 def test_parse_symbol_outside_alphabet():
