@@ -116,7 +116,7 @@ def _cmd_universal(args: argparse.Namespace) -> int:
 
 
 def _cmd_dq(args: argparse.Namespace) -> int:
-    d = d_of_q(_load_rgp(args.target))
+    d = d_of_q(_load_rgp(args.target), _budget(args))
     if args.format == "dot":
         print(d.to_dot())
     else:
@@ -235,6 +235,7 @@ def _parser() -> argparse.ArgumentParser:
     s = subs.add_parser("dq", help="two-labeled digraph of an {a,a+} target")
     s.add_argument("target")
     s.add_argument("--format", default="json", choices=("json", "dot"))
+    _add_budget(s)
     s.set_defaults(func=_cmd_dq)
 
     s = subs.add_parser("classify",

@@ -18,22 +18,33 @@ edge into a symmetric relation are revised once. Different relations
 on one pair stay separate constraints.
 
 Arc consistency is AC-3 over the variables whose domain changed, with
-bitwise support checks in the style of AC-2001 (Bessiere, Regin, Yap
-and Zhang, AIJ 2005): revising x against y keeps the value a when
-rows[a] & dom[y] is nonzero. It runs before the search and after every
-assignment. The search picks the most constrained variable first
-(fewest values, ties by variable order), tries its values from the
-lowest bit up, which is sorted order, and undoes an assignment by
-restoring a copy of the domain list. Results are therefore
-deterministic. The budget ticks once per revision and once per value
-tried.
+bitwise supports in the style of AC-2001 (Bessiere, Regin, Yap and
+Zhang, AIJ 2005). Revising y against x keeps exactly the values of
+dom[y] that have a partner in dom[x], computed from the smaller side
+as in bitwise AC (Lecoutre and Vion, Constraint Programming Letters
+2008): when dom[x] holds every value of x that has a partner at all,
+the kept mask is dom[y] & reach, the relation's image of the whole
+value list, which each Rows computes once; when dom[x] has fewer values
+than dom[y], it is dom[y] & the OR of the rows of dom[x]; otherwise
+each value b of dom[y] is kept when its column meets dom[x]. The three
+agree, so the choice moves neither the fixpoint nor the budget. Arc
+consistency runs before the search and after every assignment. The
+search, a loop over an explicit stack, picks the most constrained
+variable first (fewest values, ties by variable order), tries its
+values from the lowest bit up, which is sorted order, and undoes an
+assignment by restoring a copy of the domain list. Results are
+therefore deterministic. The budget ticks once per revision and once
+per value tried.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Collection, Hashable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
+from typing import NamedTuple
 
 from .errors import SearchBudget
 
@@ -61,10 +72,19 @@ def _transpose(rows: Sequence[int]) -> list[int]:
 @dataclass(frozen=True)
 class Rows:
     """A relation over a value list as bit masks: bit b of rows[a] is
-    set when (values[a], values[b]) is in it, and cols is the transpose."""
+    set when (values[a], values[b]) is in it, and cols is the transpose.
+    reach is the OR of the rows, the image of the whole value list, and
+    coreach the OR of the columns; both are computed once, when the
+    relation is built."""
 
     rows: tuple[int, ...]
     cols: tuple[int, ...]
+    reach: int = field(init=False, repr=False, compare=False)
+    coreach: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "reach", reduce(or_, self.rows, 0))
+        object.__setattr__(self, "coreach", reduce(or_, self.cols, 0))
 
     @property
     def loops(self) -> int:
@@ -72,11 +92,11 @@ class Rows:
         return sum(1 << a for a, row in enumerate(self.rows) if row >> a & 1)
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """The value pairs allowed for the ordered variable pair (x, y):
     either a collection of value pairs, or Rows over the network's value
-    list, the sorted union of all domains."""
+    list, the sorted union of all domains. A plain (x, y, allowed)
+    tuple does as well."""
 
     x: str
     y: str
@@ -99,7 +119,7 @@ def pair_rows(pairs: Iterable[tuple[Value, Value]],
 def solve_csp(
     variables: Sequence[str],
     domains: dict[str, Sequence[Value]],
-    constraints: Sequence[Constraint],
+    constraints: Iterable[Constraint],
     budget: SearchBudget,
 ) -> dict[str, Value] | None:
     return next(iter_csp_solutions(variables, domains, constraints, budget), None)
@@ -108,58 +128,72 @@ def solve_csp(
 def iter_csp_solutions(
     variables: Sequence[str],
     domains: dict[str, Sequence[Value]],
-    constraints: Sequence[Constraint],
+    constraints: Iterable[Constraint],
     budget: SearchBudget,
 ) -> Iterator[dict[str, Value]]:
     """Yield every solution, in deterministic order."""
     # Callers often pass one domain object for many variables, so each
-    # distinct object is read once.
+    # distinct object is read once, and a domain that holds every value
+    # is the full mask with no index built.
     distinct = {id(domains[v]): domains[v] for v in variables}
-    values = sorted({value for domain in distinct.values() for value in domain})
-    index = {value: i for i, value in enumerate(values)}
-    var = {v: i for i, v in enumerate(variables)}
-    masks = {key: sum(1 << index[value] for value in set(domain))
-             for key, domain in distinct.items()}
+    sets = [set(domain) for domain in distinct.values()]
+    values = sorted(set().union(*sets))
+    index: dict[Value, int] | None = None
+    masks = {}
+    for key, domain in zip(distinct, sets):
+        if len(domain) == len(values):
+            masks[key] = (1 << len(values)) - 1
+        else:
+            index = index or {value: i for i, value in enumerate(values)}
+            masks[key] = sum(1 << index[value] for value in domain)
     dom = [masks[id(domains[v])] for v in variables]
+    var = {v: i for i, v in enumerate(variables)}
     support = _network(var, values, dom, constraints)
     if not _propagate(dom, support, range(len(dom)), budget):
         return
-    yield from _search(dom, support, list(variables), values, {}, budget)
+    yield from _search(dom, support, variables, values, budget)
+
+
+# support[x] lists the arcs (y, cols, rows, reach, coreach) along which a
+# change of dom[x] is propagated to y: bit a of cols[b] is set, as is bit
+# b of rows[a], when x = a and y = b is allowed; reach is the OR of rows
+# and coreach that of cols.
+_Arc = tuple[int, Sequence[int], Sequence[int], int, int]
 
 
 def _network(var: dict[str, int], values: Sequence[Value], dom: list[int],
-             constraints: Sequence[Constraint],
-             ) -> list[list[tuple[int, tuple[int, ...]]]]:
+             constraints: Iterable[Constraint]) -> list[list[_Arc]]:
     """The support lists of the constraints over variables numbered by
     var and the value list values; a constraint on one variable narrows
     its domain in dom instead."""
-    # support[x] lists (y, masks): revising y against x keeps the value
-    # b when masks[b] & dom[x] is nonzero. stored holds (i, j, rows) for
-    # each relation kept on the unordered pair i < j, oriented from i.
-    support: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in dom]
+    support: list[list[_Arc]] = [[] for _ in dom]
+    # Each relation kept on the unordered pair i < j, oriented from i.
     stored: set[tuple[int, int, tuple[int, ...]]] = set()
-    for c in constraints:
-        allowed = c.allowed
+    # One constraint given twice over the same object is dropped at once.
+    given = {(x, y, id(allowed)): (x, y, allowed)
+             for x, y, allowed in constraints}
+    for x, y, allowed in given.values():
         if not isinstance(allowed, Rows):
             allowed = pair_rows(allowed, values)
         elif len(allowed.rows) != len(values):
             raise ValueError("Rows must cover the sorted union of the domains")
-        i, j = var[c.x], var[c.y]
+        i, j = var[x], var[y]
         if i == j:
             dom[i] &= allowed.loops
             continue
         rows, cols = allowed.rows, allowed.cols
+        reach, coreach = allowed.reach, allowed.coreach
         if i > j:
-            i, j, rows, cols = j, i, cols, rows
+            i, j, rows, cols, reach, coreach = j, i, cols, rows, coreach, reach
         if (i, j, rows) in stored:
             continue
         stored.add((i, j, rows))
-        support[i].append((j, cols))
-        support[j].append((i, rows))
+        support[i].append((j, cols, rows, reach, coreach))
+        support[j].append((i, rows, cols, coreach, reach))
     return support
 
 
-def _propagate(dom: list[int], support: list[list[tuple[int, tuple[int, ...]]]],
+def _propagate(dom: list[int], support: list[list[_Arc]],
                changed: Iterable[int], budget: SearchBudget) -> bool:
     """AC-3 from the changed variables; False on a wiped domain."""
     queue = deque(changed)
@@ -172,14 +206,28 @@ def _propagate(dom: list[int], support: list[list[tuple[int, tuple[int, ...]]]],
         arcs = support[x]
         budget.tick(len(arcs))
         dx = dom[x]
-        for y, masks in arcs:
-            dy = keep = dom[y]
-            while dy:
-                low = dy & -dy
-                dy ^= low
-                if not masks[low.bit_length() - 1] & dx:
-                    keep ^= low
-            if keep != dom[y]:
+        outside = ~dx
+        size = dx.bit_count()
+        for y, cols, rows, reach, coreach in arcs:
+            dy = dom[y]
+            if not coreach & outside:
+                # dom[x] holds every value of x with a partner.
+                keep = dy & reach
+            elif size < dy.bit_count():
+                image, rest = 0, dx
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    image |= rows[low.bit_length() - 1]
+                keep = dy & image
+            else:
+                keep = rest = dy
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    if not cols[low.bit_length() - 1] & dx:
+                        keep ^= low
+            if keep != dy:
                 if not keep:
                     return False
                 dom[y] = keep
@@ -189,26 +237,46 @@ def _propagate(dom: list[int], support: list[list[tuple[int, tuple[int, ...]]]],
     return True
 
 
-def _search(dom, support, names, values, assignment: dict[int, int],
+def _search(dom: list[int], support: list[list[_Arc]], names: Sequence[str],
+            values: Sequence[Value],
             budget: SearchBudget) -> Iterator[dict[str, Value]]:
-    if len(assignment) == len(names):
-        yield {names[x]: values[a] for x, a in assignment.items()}
-        return
-    var, fewest = -1, len(values) + 1
-    for x, mask in enumerate(dom):
-        if x not in assignment and mask.bit_count() < fewest:
-            var, fewest = x, mask.bit_count()
-            if fewest == 1:
+    """Every solution below the arc-consistent domains dom, depth first.
+
+    Each frame of the stack is [x, the values of x left to try, the
+    domains before x was assigned]; assignment holds the frames'
+    variables with their current values, in the order they were
+    assigned.
+    """
+    assignment: dict[int, int] = {}
+    stack: list[list] = []
+    while True:
+        if len(assignment) == len(names):
+            yield {names[x]: values[a] for x, a in assignment.items()}
+        else:
+            var, fewest = -1, len(values) + 1
+            for x, mask in enumerate(dom):
+                if x not in assignment and mask.bit_count() < fewest:
+                    var, fewest = x, mask.bit_count()
+                    if fewest == 1:
+                        break
+            stack.append([var, dom[var], dom[:]])
+        # The next value to try, undoing the deepest assignment and
+        # backtracking while a frame has none left.
+        while stack:
+            frame = stack[-1]
+            var, rest, saved = frame
+            if var in assignment:
+                del assignment[var]
+                dom[:] = saved
+            if not rest:
+                stack.pop()
+                continue
+            low = rest & -rest
+            frame[1] = rest ^ low
+            budget.tick()
+            dom[var] = low
+            assignment[var] = low.bit_length() - 1
+            if _propagate(dom, support, (var,), budget):
                 break
-    rest = dom[var]
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        budget.tick()
-        saved = dom[:]
-        dom[var] = low
-        assignment[var] = low.bit_length() - 1
-        if _propagate(dom, support, (var,), budget):
-            yield from _search(dom, support, names, values, assignment, budget)
-        del assignment[var]
-        dom[:] = saved
+        else:
+            return

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .csp import Constraint, solve_csp
+from .csp import solve_csp
 from .errors import PreconditionError, SearchBudget
 from .languages import concat_inclusion
 from .regexes import RegexAst
@@ -84,14 +84,14 @@ def n_hom(
     if not q.vertices:
         return None
     relations = label_relations(p, q, budget)
-    arc_relations = [relations[arc.label] for arc in p.arcs]
+    arc_relations = [relations[label] for _, _, label in p.arcs]
 
     # Every domain is all of q, so the CSP's values are the relations'
     # names, and each relation goes in as the Rows it is.
     domain = sorted(q.vertices)
-    domains = {v: domain for v in p.vertices}
-    constraints = [Constraint(arc.src, arc.dst, relation)
-                   for arc, relation in zip(p.arcs, arc_relations)]
+    domains = dict.fromkeys(p.vertices, domain)
+    constraints = [(src, dst, relation) for (src, dst, _), relation
+                   in zip(p.arcs, arc_relations)]
     mapping = solve_csp(p.vertices, domains, constraints, budget)
     if mapping is None:
         return None

@@ -88,17 +88,35 @@ def symbols(node: RegexAst) -> frozenset[str]:
     """The set of alphabet characters mentioned by the expression."""
     if isinstance(node, Sym):
         return frozenset((node.char,))
-    if isinstance(node, Star):
-        return symbols(node.child)
-    return symbols(node.left) | symbols(node.right)
+    # Each distinct node once: plus() shares its operand, so a tree walk
+    # doubles with every nested `+`.
+    chars: set[str] = set()
+    seen: set[int] = set()
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Sym):
+            chars.add(node.char)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, Star):
+                stack.append(node.child)
+            else:
+                stack += (node.left, node.right)
+    return frozenset(chars)
 
 
 def node_count(node: RegexAst) -> int:
-    if isinstance(node, Sym):
-        return 1
-    if isinstance(node, Star):
-        return 1 + node_count(node.child)
-    return 1 + node_count(node.left) + node_count(node.right)
+    """The number of nodes of the expression as a tree."""
+    count, stack = 0, [node]
+    while stack:
+        node = stack.pop()
+        count += 1
+        if isinstance(node, Star):
+            stack.append(node.child)
+        elif not isinstance(node, Sym):
+            stack += (node.left, node.right)
+    return count
 
 
 def sigma_star(alphabet: Iterable[str]) -> RegexAst:
@@ -176,33 +194,42 @@ def parse_regex(text: str, alphabet: Iterable[str]) -> RegexAst:
             union, concat = groups.pop()
 
 
-# Precedence levels used when re-rendering: union < concat < postfix/atom.
-_UNION, _CONCAT, _POSTFIX, _ATOM = 0, 1, 2, 3
+# Precedence levels used when re-rendering: union < concat < postfix.
+_UNION, _CONCAT, _POSTFIX = 0, 1, 2
 
 
 def serialize_regex(node: RegexAst) -> str:
     """Render an AST so that parsing the result rebuilds it exactly."""
-    text, _ = _render(node)
-    return text
-
-
-def _render(node: RegexAst) -> tuple[str, int]:
     if isinstance(node, Sym):
-        return node.char, _ATOM
-    if is_plus(node):
-        assert isinstance(node, Concat)
-        return _wrap(node.left, _POSTFIX) + "+", _POSTFIX
-    if isinstance(node, Star):
-        return _wrap(node.child, _POSTFIX) + "*", _POSTFIX
-    if isinstance(node, Concat):
-        # Left-associated chains render bare; a right-nested concat or a
-        # union child needs parentheses to parse back identically.
-        return _wrap(node.left, _CONCAT) + _wrap(node.right, _POSTFIX), _CONCAT
-    if isinstance(node, Union):
-        return _wrap(node.left, _UNION) + "|" + _wrap(node.right, _CONCAT), _UNION
-    raise TypeError(f"not a regex node: {node!r}")
-
-
-def _wrap(node: RegexAst, min_level: int) -> str:
-    text, level = _render(node)
-    return f"({text})" if level < min_level else text
+        return node.char
+    # Left to right with no recursion: todo holds, last first, what is
+    # still to be written, each a literal or a node with the lowest level
+    # it may take without parentheses. A plus renders its operand once;
+    # left-associated concatenations render bare, while a right-nested
+    # concat or a union operand needs parentheses to parse back
+    # identically.
+    out: list[str] = []
+    todo: list[tuple[RegexAst | str, int]] = [(node, _UNION)]
+    while todo:
+        item, least = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        if isinstance(item, Sym):
+            out.append(item.char)
+            continue
+        if is_plus(item):
+            level, parts = _POSTFIX, [(item.left, _POSTFIX), ("+", 0)]
+        elif isinstance(item, Star):
+            level, parts = _POSTFIX, [(item.child, _POSTFIX), ("*", 0)]
+        elif isinstance(item, Concat):
+            level, parts = _CONCAT, [(item.left, _CONCAT), (item.right, _POSTFIX)]
+        elif isinstance(item, Union):
+            level, parts = _UNION, [(item.left, _UNION), ("|", 0),
+                                    (item.right, _CONCAT)]
+        else:
+            raise TypeError(f"not a regex node: {item!r}")
+        if level < least:
+            parts = [("(", 0), *parts, (")", 0)]
+        todo += reversed(parts)
+    return "".join(out)

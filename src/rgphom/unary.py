@@ -29,8 +29,8 @@ from collections import Counter, deque
 from enum import Enum
 from typing import Any, Iterable, Mapping, Sequence
 
-from .csp import (Constraint, _bits, _network, _propagate, _transpose,
-                  iter_csp_solutions, pair_rows, solve_csp)
+from .csp import (_bits, _network, _propagate, _transpose, iter_csp_solutions,
+                  pair_rows, solve_csp)
 from .errors import (
     NotAcyclicError,
     NotBalancedError,
@@ -136,35 +136,43 @@ def _split_arcs(p: Rgp) -> tuple[set[tuple[str, str]], set[tuple[str, str]]]:
     return single, plussed
 
 
-def _reachable_pairs(p: Rgp) -> frozenset[tuple[str, str]]:
-    """Ordered pairs joined by a directed walk of length >= 1, any labels."""
+def _reachable_pairs(p: Rgp,
+                     budget: SearchBudget) -> frozenset[tuple[str, str]]:
+    """Ordered pairs joined by a directed walk of length >= 1, any labels;
+    the budget ticks once per pair."""
     out: dict[str, set[str]] = {v: set() for v in p.vertices}
     for arc in p.arcs:
         out[arc.src].add(arc.dst)
-    return frozenset((start, v) for start in p.vertices
-                     for v in _reach(out, out[start]))
+    pairs: list[tuple[str, str]] = []
+    for start in p.vertices:
+        reached = _reach(out, out[start])
+        budget.tick(len(reached))
+        pairs += ((start, v) for v in reached)
+    return frozenset(pairs)
 
 
-def d_of_q(q: Rgp) -> TwoLabeledDigraph:
+def d_of_q(q: Rgp, budget: SearchBudget | None = None) -> TwoLabeledDigraph:
     """The target-side translation: keep 'a' arcs, and add a 't' arc
     u -> v for every pair joined by a nonempty directed walk."""
     _require_unary(q, "target")
     single, _ = _split_arcs(q)
-    return TwoLabeledDigraph(q.vertices, frozenset(single), _reachable_pairs(q))
+    return TwoLabeledDigraph(q.vertices, frozenset(single),
+                             _reachable_pairs(q, budget or SearchBudget()))
 
 
-def reduce_to_hom(p: Rgp, q: Rgp) -> tuple[TwoLabeledDigraph, TwoLabeledDigraph]:
+def reduce_to_hom(p: Rgp, q: Rgp, budget: SearchBudget | None = None,
+                  ) -> tuple[TwoLabeledDigraph, TwoLabeledDigraph]:
     """Translate an {a, a+} instance into a two-labeled digraph pair.
 
     The pattern keeps its arcs with a+ renamed to 't' (no closure); the
-    target becomes d_of_q(q). A navigational homomorphism p to q exists
-    exactly when a classical labeled homomorphism exists between the
-    results.
+    target becomes d_of_q(q), which ticks the budget. A navigational
+    homomorphism p to q exists exactly when a classical labeled
+    homomorphism exists between the results.
     """
     _require_same_symbol(p, q)
     single, plussed = _split_arcs(p)
     pattern = TwoLabeledDigraph(p.vertices, frozenset(single), frozenset(plussed))
-    return pattern, d_of_q(q)
+    return pattern, d_of_q(q, budget)
 
 
 def hom_two_labeled(
@@ -182,8 +190,8 @@ def hom_two_labeled(
     domains = {v: domain for v in g.vertices}
     a_rows = pair_rows(h.a_arcs, domain)
     t_rows = pair_rows(h.t_arcs, domain)
-    constraints = [Constraint(u, v, a_rows) for u, v in sorted(g.a_arcs)]
-    constraints += [Constraint(u, v, t_rows) for u, v in sorted(g.t_arcs)]
+    constraints = [(u, v, a_rows) for u, v in sorted(g.a_arcs)]
+    constraints += [(u, v, t_rows) for u, v in sorted(g.t_arcs)]
     return solve_csp(g.vertices, domains, constraints, budget)
 
 
@@ -334,7 +342,7 @@ def _non_bijective_endo(
     pins = set(fixed)
     domains = {v: [v] if v in pins else domain for v in comp.vertices}
     rows = pair_rows(((a.src, a.dst) for a in comp.arcs), domain)
-    constraints = [Constraint(a.src, a.dst, rows) for a in comp.arcs]
+    constraints = [(a.src, a.dst, rows) for a in comp.arcs]
     for f in iter_csp_solutions(comp.vertices, domains, constraints, budget):
         if len(set(f.values())) != len(comp.vertices):
             return f
@@ -899,7 +907,7 @@ def solve_path_template(
 
     budget = budget or SearchBudget()
     if label_class(q).kind is LabelKind.UNARY_A_APLUS:
-        pattern, template = reduce_to_hom(p, q)
+        pattern, template = reduce_to_hom(p, q, budget)
         mapping = path_consistency_solve(pattern, template, budget)
         if mapping is None:
             return None
@@ -1057,7 +1065,7 @@ def path_consistency_solve(
     constraints = []
     for g_arcs, h_arcs in ((g.a_arcs, h.a_arcs), (g.t_arcs, h.t_arcs)):
         rows = pair_rows(h_arcs, values)
-        constraints += [Constraint(x, y, rows) for x, y in sorted(g_arcs)]
+        constraints += [(x, y, rows) for x, y in sorted(g_arcs)]
     support = _network(var, values, dom, constraints)
     if not all(dom) or not _propagate(dom, support, range(len(dom)), budget):
         return None

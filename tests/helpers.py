@@ -4,6 +4,9 @@ Everything here evaluates regex semantics directly on the AST, without
 NFAs or DFAs, so agreement with the library is meaningful evidence.
 reference_csp is the plain value-list AC-3 and backtracking that the
 bitset constraint search is compared against; it shares no code with it.
+reference_propagate is the bitset AC-3 that revises every value of the
+revised domain on its own, which the revision from the smaller side
+replaced; it reaches the same domains with the same budget count.
 reference_determinize and reference_inclusion are the frozenset subset
 construction and the breadth-first search over the full DFA product
 that the bitmask determinize and the on-the-fly inclusion search
@@ -348,6 +351,38 @@ def reference_csp(variables: Sequence[str],
 
     if propagate(list(variables)):
         yield from search({})
+
+
+def reference_propagate(dom: list[int], support, changed: Iterable[int],
+                        budget) -> bool:
+    """csp._propagate with every revision value by value: revising y
+    against x keeps the value b of dom[y] when cols[b] & dom[x] is
+    nonzero. Same queue order and ticks; False on a wiped domain."""
+    queue = deque(changed)
+    queued = [False] * len(dom)
+    for x in queue:
+        queued[x] = True
+    while queue:
+        x = queue.popleft()
+        queued[x] = False
+        arcs = support[x]
+        budget.tick(len(arcs))
+        dx = dom[x]
+        for y, cols, *_ in arcs:
+            dy = keep = dom[y]
+            while dy:
+                low = dy & -dy
+                dy ^= low
+                if not cols[low.bit_length() - 1] & dx:
+                    keep ^= low
+            if keep != dom[y]:
+                if not keep:
+                    return False
+                dom[y] = keep
+                if not queued[y]:
+                    queued[y] = True
+                    queue.append(y)
+    return True
 
 
 def reference_compile_nfa(node: RegexAst) -> Nfa:

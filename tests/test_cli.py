@@ -13,6 +13,7 @@ import pytest
 
 import rgphom
 from rgphom.cli import ENV_BUDGET, main
+from rgphom.nhom import NHomomorphism, verify_n_hom
 from rgphom.regexes import parse_regex
 from rgphom.rgp import Rgp, make_rgp, serialize_rgp
 from rgphom.testkit import gadget_ncore, random_rgp
@@ -118,6 +119,22 @@ def test_a_5000_arc_witness_verifies(runner):
     assert code == 0 and as_doc(out) == {"valid": True}
 
 
+@pytest.mark.parametrize("solver", ["auto", "general"])
+def test_a_1500_vertex_pattern_is_searched_without_recursion(runner, solver):
+    # A deeper search than the interpreter's recursion limit.
+    save, run, tmp_path = runner
+    p = a_path(1500, "p")
+    q = make_rgp("a", ["t0", "t1", "t2", "t3"],
+                 [("t0", "t1", "a"), ("t1", "t2", "a"), ("t2", "t0", "a"),
+                  ("t3", "t0", "a")])
+    cert = tmp_path / "cert.json"
+    code, out = run("nhom", save("p.json", p), save("q.json", q),
+                    "--solver", solver, "--certificate", str(cert))
+    assert code == 0 and as_doc(out)["solver"] == "general"
+    h = NHomomorphism.from_json(json.loads(cert.read_text()))
+    assert verify_n_hom(p, q, h)
+
+
 @pytest.mark.parametrize("extra", ["map key", "arc index"])
 def test_verify_rejects_a_certificate_with_extra_keys(runner, extra):
     save, run, tmp_path = runner
@@ -215,6 +232,15 @@ def test_dq_formats(runner):
     assert labels == ["a", "a", "t", "t", "t"]
     code, out = run("dq", path, "--format", "dot")
     assert code == 0 and out.startswith("digraph")
+
+
+def test_dq_budget_bounds_the_reachable_pairs(runner):
+    save, run, _ = runner
+    path = save("q.json", a_path(40))
+    code, out = run("dq", path, "--budget", "1")
+    assert code == 3 and out == ""
+    code, out = run("dq", path, "--budget", str(40 * 39 // 2))
+    assert code == 0 and len(as_doc(out)["arcs"]) == 39 + 40 * 39 // 2
 
 
 def test_classify_reports_kind(runner):

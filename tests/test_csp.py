@@ -5,13 +5,18 @@ import random
 
 import pytest
 
-from rgphom.csp import Constraint, iter_csp_solutions, pair_rows, solve_csp
+from rgphom import csp, unary
+from rgphom.csp import (Constraint, Rows, _network, _propagate, _transpose,
+                        iter_csp_solutions, pair_rows, solve_csp)
 from rgphom.errors import BudgetExceededError, SearchBudget
 from rgphom.nhom import label_relations, n_hom, verify_n_hom
 from rgphom.rgp import Rgp, make_rgp
-from rgphom.walks import witness_walks
+from rgphom.testkit import random_unary_pattern
+from rgphom.unary import path_consistency_solve, reduce_to_hom
+from rgphom.walks import clear_relation_cache, witness_walks
 
-from helpers import reference_csp
+from fixtures import planted_mixed_path
+from helpers import reference_csp, reference_propagate
 
 
 def edge(x, y, pairs):
@@ -209,3 +214,111 @@ def test_merged_mirrored_constraints_keep_certificates():
         assert h.witnesses == witness_walks(p, want, arc_relations)
         assert verify_n_hom(p, k3, h)
     assert found >= 3
+
+
+def random_mask_network(rng: random.Random):
+    """Domains and support lists over 1 to 80 values: each domain full,
+    a single value or a random part, and each relation of a density
+    from about 1/8 to 7/8 with some rows left empty."""
+    k = rng.randint(1, 80)
+    n = rng.randint(2, 8)
+    full = (1 << k) - 1
+    dom = []
+    for _ in range(n):
+        roll = rng.random()
+        if roll < 0.4:
+            dom.append(full)
+        elif roll < 0.7:
+            dom.append(1 << rng.randrange(k))
+        else:
+            dom.append(rng.getrandbits(k) or full)
+
+    def row() -> int:
+        bits = rng.getrandbits(k)
+        for _ in range(rng.randint(0, 2)):
+            bits = (bits & rng.getrandbits(k) if rng.random() < 0.5
+                    else bits | rng.getrandbits(k))
+        return bits
+
+    names = [f"v{i}" for i in range(n)]
+    constraints = []
+    for _ in range(rng.randint(1, 12)):
+        live = rng.random()
+        rows = [row() if rng.random() < live else 0 for _ in range(k)]
+        relation = Rows(tuple(rows), tuple(_transpose(rows)))
+        constraints.append((rng.choice(names), rng.choice(names), relation))
+    var = {v: i for i, v in enumerate(names)}
+    support = _network(var, list(range(k)), dom, constraints)
+    return dom, support
+
+
+def test_revision_by_image_matches_revision_value_by_value():
+    rng = random.Random(18)
+    wiped = 0
+    for _ in range(600):
+        dom, support = random_mask_network(rng)
+        changed = rng.sample(range(len(dom)), rng.randint(1, len(dom)))
+        got, want = dom[:], dom[:]
+        ours, theirs = SearchBudget(), SearchBudget()
+        verdict = _propagate(got, support, changed, ours)
+        assert verdict == reference_propagate(want, support, changed, theirs)
+        assert got == want
+        assert ours.nodes == theirs.nodes
+        wiped += not verdict
+    assert 50 < wiped < 550
+
+
+def graph_database(rng: random.Random, n: int) -> Rgp:
+    """n vertices, each with an 'a' arc to a random vertex, and 'b' arcs
+    along a random order of the vertices, closed into a cycle or not."""
+    names = [f"d{i}" for i in range(n)]
+    order = rng.sample(names, n)
+    arcs = [(v, rng.choice(names), "a") for v in names]
+    ends = order[1:] + order[:1] if rng.random() < 0.5 else order[1:]
+    arcs += [(u, v, "b") for u, v in zip(order, ends)]
+    return make_rgp("ab", names, arcs)
+
+
+def query(rng: random.Random) -> Rgp:
+    labels = ("a", "b", "b.a", "a.b*", "(a|b)+", "a.(a|b)*", "(a|b)*.b",
+              "(a.b)+")
+    names = [f"x{i}" for i in range(rng.randint(2, 5))]
+    arcs = [(rng.choice(names), rng.choice(names), rng.choice(labels))
+            for _ in range(rng.randint(1, 6))]
+    return make_rgp("ab", names, arcs)
+
+
+def test_solvers_answer_as_with_revision_value_by_value(monkeypatch):
+    rng = random.Random(11)
+    k3 = make_rgp("a", ["k0", "k1", "k2"],
+                  [(f"k{i}", f"k{j}", "a") for i in range(3) for j in range(3)
+                   if i != j])
+    instances = [(query(rng), graph_database(rng, rng.randint(10, 80)))
+                 for _ in range(40)]
+    instances += [(planted_coloring(rng, n, m), k3)
+                  for n, m in [(10, 14), (14, 22), (18, 40), (24, 60)]]
+    two_labeled = [reduce_to_hom(*planted_mixed_path(rng, n))
+                   for n in (6, 10, 16)]
+    two_labeled += [reduce_to_hom(random_unary_pattern(seed, 6, 9),
+                                  random_unary_pattern(seed + 1, 7, 12))
+                    for seed in range(0, 40, 2)]
+
+    def answers():
+        clear_relation_cache()
+        out = []
+        for p, q in instances:
+            budget = SearchBudget()
+            h = n_hom(p, q, budget)
+            out.append((h and h.to_json(), budget.nodes))
+        for g, h in two_labeled:
+            budget = SearchBudget()
+            out.append((path_consistency_solve(g, h, budget), budget.nodes))
+        return out
+
+    ours = answers()
+    monkeypatch.setattr(csp, "_propagate", reference_propagate)
+    monkeypatch.setattr(unary, "_propagate", reference_propagate)
+    theirs = answers()
+    assert ours == theirs
+    assert sum(h is None for h, _ in ours) >= 5
+    assert sum(h is not None for h, _ in ours) >= 20

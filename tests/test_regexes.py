@@ -169,6 +169,18 @@ def test_symbols_and_node_count():
     assert node_count(ast) == 6
 
 
+@pytest.mark.parametrize("text, nodes", [
+    ("a" * 5000, 9999), ("a" + "*" * 5000, 5001),
+    ("a(" * 1999 + "aa" + ")" * 1999, 4001),
+    ("a|(" * 1999 + "a|a" + ")" * 1999, 4001),
+], ids=("word", "stars", "right_concat", "right_union"))
+def test_walks_over_deep_expressions_do_not_recurse(text, nodes):
+    ast = parse_regex(text, "a")
+    assert symbols(ast) == frozenset("a")
+    assert node_count(ast) == nodes
+    assert serialize_regex(ast) == text
+
+
 def ast_strategy(alphabet: str = "ab"):
     leaves = st.sampled_from([Sym(c) for c in alphabet])
     return st.recursive(
