@@ -85,18 +85,15 @@ from .unary import (
     classify_undirected_template,
     collapse_levels,
     d_of_q,
-    easy_certificate,
     hom_two_labeled,
     is_majority_polymorphism,
     median_polymorphism,
-    odd_a_cycle,
     path_consistency_solve,
     prune_plus_arcs,
     reduce_to_hom,
     solve_path_template,
     solve_scheduling,
     solve_undirected,
-    solve_undirected_easy,
     to_scheduling,
 )
 from .walks import (

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import PreconditionError, RgpSchemaError
 from .regexes import (
-    Concat, RegexAst, Sym, is_plus, parse_regex, serialize_regex, symbols,
+    RegexAst, Sym, is_plus, parse_regex, serialize_regex, symbols,
 )
 
 
@@ -386,16 +386,6 @@ def walk_endpoints(p: Rgp, walk: Sequence[int]) -> tuple[str, str]:
     if not is_walk(p, walk):
         raise PreconditionError(f"not a walk: {list(walk)}")
     return p.arcs[walk[0]].src, p.arcs[walk[-1]].dst
-
-
-def walk_label(p: Rgp, walk: Sequence[int]) -> RegexAst:
-    """Concatenate the labels along a walk, folding left to right."""
-    if not is_walk(p, walk):
-        raise PreconditionError(f"not a walk: {list(walk)}")
-    label = p.arcs[walk[0]].label
-    for i in walk[1:]:
-        label = Concat(label, p.arcs[i].label)
-    return label
 
 
 def delete_arc(p: Rgp, index: int) -> Rgp:

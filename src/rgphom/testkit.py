@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .automata import Dfa, Nfa, compile_nfa, determinize, prefix_closure
+from .csp import _bits
 from .errors import CapExceededError, PreconditionError
 from .nhom import NHomomorphism
 from .regexes import (
@@ -156,31 +157,57 @@ def all_a_lift(vertices, edges) -> Rgp:
 
 
 def word_matches(e: RegexAst, word: str) -> bool:
-    """Word membership by structural recursion over the expression."""
-    memo: dict[tuple[RegexAst, str], bool] = {}
+    """Word membership by structural induction over the expression, in
+    post-order on an explicit stack, so neither the depth of e nor the
+    length of the word is bounded by the interpreter's recursion limit.
 
-    def go(node: RegexAst, w: str) -> bool:
-        key = (node, w)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+    ends[(id(node), i)] is the bit mask of the positions j with
+    word[i:j] in L(node); only the (node, i) pairs the root needs are
+    computed, each once its children's are.  A star peels a nonempty
+    prefix: j = i, or word[i:k] in L(child) with k > i and word[k:j]
+    in L(star) again; a k that is already an end adds nothing, since
+    L(star) is closed under concatenation.  Nodes are keyed by
+    identity, since the structural hash of a deep expression recurses.
+    """
+    n = len(word)
+    ends: dict[tuple[int, int], int] = {}
+    missing: list[tuple[RegexAst, int]] = []
+
+    def need(child: RegexAst, k: int) -> int:
+        got = ends.get((id(child), k))
+        if got is None:
+            missing.append((child, k))
+            return 0
+        return got
+
+    stack = [(e, 0)]
+    while stack:
+        node, i = stack[-1]
+        if (id(node), i) in ends:
+            stack.pop()
+            continue
         if isinstance(node, Sym):
-            out = w == node.char
+            out = 1 << (i + 1) if i < n and word[i] == node.char else 0
         elif isinstance(node, Union):
-            out = go(node.left, w) or go(node.right, w)
+            out = need(node.left, i) | need(node.right, i)
         elif isinstance(node, Concat):
-            out = any(go(node.left, w[:i]) and go(node.right, w[i:])
-                      for i in range(len(w) + 1))
-        elif not w:
-            out = True
+            out = 0
+            for k in _bits(need(node.left, i)):
+                out |= need(node.right, k)
         else:
-            # Star: peel a nonempty prefix so the recursion terminates.
-            out = any(go(node.child, w[:i]) and go(node, w[i:])
-                      for i in range(1, len(w) + 1))
-        memo[key] = out
-        return out
-
-    return go(e, word)
+            out = 1 << i
+            todo = need(node.child, i) >> (i + 1) << (i + 1)
+            while todo:
+                k = (todo & -todo).bit_length() - 1
+                out |= need(node, k)
+                todo &= ~(out | 1 << k)
+        if missing:
+            stack += missing
+            missing.clear()
+        else:
+            ends[id(node), i] = out
+            stack.pop()
+    return bool(ends[id(e), 0] >> n & 1)
 
 
 _ENUM_CAP = 100_000

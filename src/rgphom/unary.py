@@ -8,8 +8,8 @@ The module covers four layers:
 * the reduction itself (d_of_q, reduce_to_hom, hom_two_labeled);
 * undirected, connected templates: one set of shape tests (_retract)
   names the class of core(Q) and a retract of Q in it, and serves the
-  undirected route (solve_undirected), the dichotomy classifier and
-  the certificates of the polynomial cases; plus the core audit;
+  undirected route (solve_undirected), which maps onto that retract,
+  and the dichotomy classifier; plus the core audit;
 * the simplification pipeline for directed-path targets whose arcs are
   all 'a' (collapse_levels, prune_plus_arcs) and its reformulation as
   a scheduling feasibility problem solved by shortest paths;
@@ -196,7 +196,7 @@ def hom_two_labeled(
 
 
 # ---------------------------------------------------------------------------
-# Undirected templates: core audit, dichotomy classifier, easy solvers
+# Undirected templates: core audit, dichotomy classifier, solver
 
 
 @dataclass(frozen=True)
@@ -368,7 +368,7 @@ class TemplateClass:
 
 # Templates of at most this many vertices are proved cores by is_n_core
 # before they are classified.  Larger ones are taken to be cores
-# unchecked, as with assume_core: only the O(|q|) shape refutations of
+# unchecked: only the O(|q|) shape refutations of
 # classify_undirected_template run on them.
 _RECHECK_LIMIT = 8
 
@@ -419,34 +419,59 @@ def solve_undirected(
 ) -> NHomomorphism | None:
     """Polynomial solver for undirected targets: the certificate of p
     into the retract of q that the shape tests of _retract name, or
-    None.  PreconditionError when q is not an undirected, connected,
-    nonempty unary template or has an odd a-cycle, or when p is not an
-    undirected unary pattern over q's symbol."""
+    None.  The retract is one vertex, which every vertex of p maps to,
+    or the two ends of an 'a' edge, onto which p's a-subgraph is
+    2-coloured, side 0 to the first end.  It is a sub-pattern of q, so
+    its walks are walks of q, and the witnesses come from q's walk
+    relations.  PreconditionError when q is not an undirected,
+    connected, nonempty unary template or has an odd a-cycle, or when p
+    is not an undirected unary pattern over q's symbol."""
     budget = budget or SearchBudget()
     kind, ends = _retract(q, budget)
     if kind is TemplateKind.NP_COMPLETE:
         raise PreconditionError(
             "template has an odd a-cycle: outside the polynomial classes")
     budget.tick(len(p.vertices) + len(p.arcs))
-    return _certificate_onto(kind, ends, p, q, budget)
+    _require_same_symbol(p, q)
+    if not is_undirected(p):
+        raise PreconditionError("pattern must be undirected")
+    _require_unary(p, "pattern")
+    if kind is TemplateKind.POLY_SINGLE_EDGE_A:
+        side = _two_coloring(p)[0]
+    else:
+        # One vertex: an 'a' loop takes every pattern, an a+ loop or
+        # edge the all-a+ ones, a bare vertex the arcless ones.
+        if kind is TemplateKind.POLY_LOOP_A:
+            fits = True
+        elif kind is TemplateKind.POLY_SINGLE_VERTEX_NO_LOOP:
+            fits = not p.arcs
+        else:
+            fits = all(not isinstance(arc.label, Sym) for arc in p.arcs)
+        side = dict.fromkeys(p.vertices, 0) if fits else None
+    if side is None:
+        return None
+    mapping = {v: ends[side[v]] for v in p.vertices}
+    relations = label_relations(p, q, budget)
+    arc_relations = [relations[arc.label] for arc in p.arcs]
+    return NHomomorphism(mapping=mapping, witnesses=witness_walks(
+        p, mapping, arc_relations, budget))
 
 
 def classify_undirected_template(
     q: Rgp,
-    assume_core: bool = False,
     budget: SearchBudget | None = None,
 ) -> TemplateClass:
     """Sort an undirected connected core template into its complexity
     class: one of five single-edge-or-less polynomial shapes, or
     NP-complete with an odd a-cycle as the hardness witness.
 
-    Unless assume_core is set, a template of at most _RECHECK_LIMIT
-    vertices is first proved a core by is_n_core; a larger one is taken
-    to be a core unchecked.  Two shape refutations run at every size
-    and raise PreconditionError: a loop alongside another edge (audit
-    item b: q retracts onto an 'a' loop, and an a+ loop maps onto a
-    walk through another edge at its vertex), and two or more edges
-    with a bipartite a-subgraph (q retracts onto one of them).  A
+    A template of at most _RECHECK_LIMIT vertices is first proved a
+    core by is_n_core; a larger one is taken to be a core unchecked.
+    Two shape refutations run at every size and raise
+    PreconditionError: a loop alongside another edge (audit item b: q
+    retracts onto an 'a' loop, and an a+ loop maps onto a walk through
+    another edge at its vertex), and two or more edges with a bipartite
+    a-subgraph (q retracts onto one of them).  A
     larger non-core template that passes both has an odd a-cycle, and
     so does its core: it is reported NP-complete, with the cycle taken
     from q.  The class itself is the one _retract reads off q's shape,
@@ -454,9 +479,8 @@ def classify_undirected_template(
     """
     budget = budget or SearchBudget()
     kind, ends = _retract(q, budget)
-    if not assume_core and len(q.vertices) <= _RECHECK_LIMIT:
-        if not is_n_core(q, budget).is_core:
-            raise PreconditionError("template is not a core")
+    if len(q.vertices) <= _RECHECK_LIMIT and not is_n_core(q, budget).is_core:
+        raise PreconditionError("template is not a core")
     edges = _undirected_edges(q)
     if len(edges) > 1 and any(u == v for u, v, _ in edges):
         raise PreconditionError(
@@ -467,12 +491,6 @@ def classify_undirected_template(
         raise PreconditionError(
             "multi-edge template with bipartite a-subgraph is not a core")
     return TemplateClass(kind)
-
-
-def odd_a_cycle(q: Rgp) -> tuple[str, ...] | None:
-    """A closed walk of odd length along 'a' edges, as its cyclic
-    vertex sequence, or None when the a-subgraph is bipartite."""
-    return _two_coloring(q)[1]
 
 
 def _two_coloring(
@@ -516,72 +534,6 @@ def _close_walk(parent, v, w) -> tuple[str, ...]:
     while parent[up_w[-1]] is not None:
         up_w.append(parent[up_w[-1]])
     return tuple(reversed(up_v)) + tuple(up_w[:-1])
-
-
-def _sides(kind: TemplateKind, p: Rgp) -> dict[str, int] | None:
-    """The end of a retract in class kind that each vertex of p maps
-    to (index 0 or 1 into its vertices), or None when p has no map into
-    that class."""
-    if not is_undirected(p):
-        raise PreconditionError("pattern must be undirected")
-    _require_unary(p, "pattern")
-    if kind is TemplateKind.NP_COMPLETE:
-        raise PreconditionError(f"{kind.value} is not a polynomial class")
-    if kind is TemplateKind.POLY_SINGLE_EDGE_A:
-        return _two_coloring(p)[0]
-    if kind is TemplateKind.POLY_SINGLE_VERTEX_NO_LOOP:
-        fits = not p.arcs
-    else:
-        fits = kind is TemplateKind.POLY_LOOP_A or all(
-            not isinstance(arc.label, Sym) for arc in p.arcs)
-    return dict.fromkeys(p.vertices, 0) if fits else None
-
-
-def solve_undirected_easy(template: TemplateClass, p: Rgp) -> bool:
-    """Decide pattern-to-template existence for a polynomial class by
-    the matching closed-form test."""
-    return _sides(template.kind, p) is not None
-
-
-def easy_certificate(
-    template: TemplateClass,
-    p: Rgp,
-    q: Rgp,
-    budget: SearchBudget | None = None,
-) -> NHomomorphism | None:
-    """Certificate companion to solve_undirected_easy: the concrete
-    homomorphism behind a positive answer, with witness walks in q.
-    PreconditionError when template is not the class of q's shape."""
-    budget = budget or SearchBudget()
-    kind, ends = _retract(q, budget)
-    if kind is not template.kind:
-        raise PreconditionError(
-            f"template is {kind.value}, not {template.kind.value}")
-    return _certificate_onto(kind, ends, p, q, budget)
-
-
-def _certificate_onto(
-    kind: TemplateKind,
-    ends: Sequence[str],
-    p: Rgp,
-    q: Rgp,
-    budget: SearchBudget,
-) -> NHomomorphism | None:
-    """The certificate of p into q through a retract of q in class kind,
-    given by ends: one vertex of it, which every vertex of p
-    maps to, or the two ends of its 'a' edge, onto which p's a-subgraph
-    is 2-coloured, side 0 to ends[0].  The retract is a sub-pattern of
-    q, so its walks are walks of q, and the witnesses come from q's
-    walk relations."""
-    _require_same_symbol(p, q)
-    side = _sides(kind, p)
-    if side is None:
-        return None
-    mapping = {v: ends[side[v]] for v in p.vertices}
-    relations = label_relations(p, q, budget)
-    arc_relations = [relations[arc.label] for arc in p.arcs]
-    return NHomomorphism(mapping=mapping, witnesses=witness_walks(
-        p, mapping, arc_relations, budget))
 
 
 # ---------------------------------------------------------------------------

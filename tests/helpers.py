@@ -21,6 +21,8 @@ reference_compile_nfa and reference_parse_regex are the Thompson
 construction with epsilon elimination and the recursive-descent parser
 that the position automaton and the loop parser replaced; they return
 equal NFAs, and equal ASTs or the same parse errors.
+reference_word_matches is the recursive membership test that the
+explicit-stack testkit.word_matches replaced.
 union_find_components is the union-find that connectivity checks are
 compared against; it shares no search with the library.
 """
@@ -556,6 +558,35 @@ def reference_parse_regex(text: str, alphabet: Iterable[str]) -> RegexAst:
     if bad:
         raise RegexParseError(f"invalid alphabet entries: {bad}")
     return _RecursiveParser(text, alpha).parse()
+
+
+def reference_word_matches(e: RegexAst, word: str) -> bool:
+    """word_matches by structural recursion over the expression, memoised
+    on (node, subword)."""
+    memo: dict[tuple[RegexAst, str], bool] = {}
+
+    def go(node: RegexAst, w: str) -> bool:
+        key = (node, w)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        if isinstance(node, Sym):
+            out = w == node.char
+        elif isinstance(node, Union):
+            out = go(node.left, w) or go(node.right, w)
+        elif isinstance(node, Concat):
+            out = any(go(node.left, w[:i]) and go(node.right, w[i:])
+                      for i in range(len(w) + 1))
+        elif not w:
+            out = True
+        else:
+            # Star: peel a nonempty prefix so the recursion terminates.
+            out = any(go(node.child, w[:i]) and go(node, w[i:])
+                      for i in range(1, len(w) + 1))
+        memo[key] = out
+        return out
+
+    return go(e, word)
 
 
 def union_find_components(vertices: Sequence[str],

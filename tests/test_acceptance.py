@@ -76,7 +76,7 @@ def test_big_undirected_fixture_is_a_clean_hard_core():
     q = mycielski_fixture()
     assert is_n_core(q).is_core
     assert audit_undirected_ncore(q) == []
-    template = classify_undirected_template(q, assume_core=True)
+    template = classify_undirected_template(q)
     assert template.kind is TemplateKind.NP_COMPLETE
     cycle = template.odd_cycle
     assert cycle is not None and len(cycle) % 2 == 1

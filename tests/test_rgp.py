@@ -7,16 +7,15 @@ from types import MappingProxyType
 import pytest
 
 from rgphom.errors import PreconditionError, RgpSchemaError
-from rgphom.regexes import Concat, Star, Sym, parse_regex, plus
+from rgphom.regexes import Sym, parse_regex, plus
 from rgphom.rgp import (
     Arc, LabelKind, Rgp, delete_arc, delete_vertex, directed_path_order, export_dot,
     is_connected, is_graph_database, is_walk, label_class, make_rgp, parse_rgp,
     serialize_rgp, signed_walk_sum, structural_predicates, walk_endpoints,
-    walk_label,
 )
 from rgphom.testkit import random_rgp
 
-from helpers import shuffle_names, union_find_components, words_of
+from helpers import shuffle_names, union_find_components
 
 
 def test_parse_minimal_document():
@@ -316,24 +315,6 @@ def test_walk_validation_and_endpoints():
     assert walk_endpoints(p, [0, 1]) == ("x", "z")
     with pytest.raises(PreconditionError):
         walk_endpoints(p, [0, 0])
-
-
-def test_walk_label_single_arc_is_bare():
-    p = make_rgp("a", ["x", "y"], [("x", "y", "a")])
-    assert walk_label(p, [0]) == Sym("a")
-
-
-def test_walk_label_concatenates_left_to_right():
-    p = make_rgp("ab", ["x", "y", "z"],
-                 [("x", "y", "b"), ("y", "z", "a")])
-    assert walk_label(p, [0, 1]) == Concat(Sym("b"), Sym("a"))
-    assert words_of(walk_label(p, [0, 1]), 4) == {"ba"}
-
-
-def test_walk_label_language_of_a_then_plus():
-    p = make_rgp("a", ["x", "y", "z"],
-                 [("x", "y", "a"), ("y", "z", "a+")])
-    assert words_of(walk_label(p, [0, 1]), 4) == {"aa", "aaa", "aaaa"}
 
 
 def test_export_dot():

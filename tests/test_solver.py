@@ -16,7 +16,6 @@ from rgphom.testkit import oracle_n_hom, random_unary_pattern
 from rgphom.unary import (
     TemplateKind,
     classify_undirected_template,
-    easy_certificate,
     solve_path_template,
 )
 
@@ -71,10 +70,12 @@ def test_routes_match_the_functions_behind_them():
     assert [directed_path_order(q) is not None for q in templates] == [
         True, False, False, False, False]
     for q in templates:
-        template = classify_undirected_template(q)
         for p in patterns:
-            expected = easy_certificate(template, p, q)
+            expected = unary.solve_undirected(p, q)
             assert solve(p, q, "undirected") == (expected, "undirected")
+            assert (expected is None) == (n_hom(p, q) is None)
+            if expected is not None:
+                assert verify_n_hom(p, q, expected)
             if directed_path_order(q) is None:
                 assert solve(p, q) == (expected, "undirected")
             else:

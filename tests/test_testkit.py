@@ -27,7 +27,7 @@ from rgphom.testkit import (
 )
 
 from fixtures import mycielski_fixture, two_label_pair
-from helpers import all_words
+from helpers import all_words, reference_word_matches
 from test_regexes import ast_strategy
 
 
@@ -116,6 +116,30 @@ def test_word_matches_agrees_with_nfa(ast):
     nfa = compile_nfa(ast)
     for word in all_words("ab", 4):
         assert word_matches(ast, word) == nfa_accepts(nfa, word)
+
+
+def test_word_matches_agrees_with_the_recursive_reference():
+    rng = random.Random(20261019)
+    for seed in range(300):
+        e = random_regex(seed, rng.randint(1, 10), "ab")
+        for _ in range(5):
+            word = "".join(rng.choice("ab")
+                           for _ in range(rng.randint(0, 14)))
+            assert word_matches(e, word) == reference_word_matches(e, word), (
+                serialize_regex(e), word)
+
+
+@pytest.mark.parametrize("text, word, expected", [
+    ("a*", "a" * 5000, True),
+    ("(a*)*", "a" * 5000, True),
+    ("a" * 5000, "a" * 5000, True),
+    ("a" * 5000, "a" * 4999, False),
+    ("(a|aa)*b", "a" * 4999 + "b", True),
+    ("(a|aa)*b", "a" * 5000, False),
+], ids=["star", "star-of-star", "word", "word-too-short", "ends-in-b",
+        "no-b"])
+def test_word_matches_takes_a_5000_symbol_word(text, word, expected):
+    assert word_matches(parse_regex(text, "ab"), word) is expected
 
 
 def test_universal_by_enumeration_agrees_with_inclusion_check():

@@ -20,28 +20,26 @@ from rgphom.rgp import LabelKind, directed_path_order, label_class, make_rgp
 from rgphom.testkit import random_unary_pattern
 from rgphom.unary import (
     SchedulingInstance,
-    TemplateClass,
     TemplateKind,
     TwoLabeledDigraph,
     audit_undirected_ncore,
     classify_undirected_template,
     collapse_levels,
     d_of_q,
-    easy_certificate,
     hom_two_labeled,
     is_majority_polymorphism,
     median_polymorphism,
     median_table,
-    odd_a_cycle,
     path_consistency_solve,
     prune_plus_arcs,
     reduce_to_hom,
     solve_path_template,
     solve_scheduling,
-    solve_undirected_easy,
+    solve_undirected,
     to_scheduling,
     _PcNetwork,
     _path_witnesses,
+    _two_coloring,
 )
 from rgphom.walks import relation_for_label
 
@@ -230,7 +228,7 @@ def test_classify_five_polynomial_kinds():
 
 def test_classify_mycielski_np_complete_with_verifiable_witness():
     q = mycielski_fixture()
-    got = classify_undirected_template(q, assume_core=True)
+    got = classify_undirected_template(q)
     assert got.kind is TemplateKind.NP_COMPLETE
     cycle = got.odd_cycle
     assert cycle is not None and len(cycle) % 2 == 1
@@ -242,27 +240,37 @@ def test_classify_mycielski_np_complete_with_verifiable_witness():
 
 def test_classify_rejects_non_core():
     p3 = undirected_template([("a1", "b1"), ("b1", "c1")])
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="not a core"):
         classify_undirected_template(p3)
-    # even vouched for, a bipartite multi-edge template cannot be a core
-    with pytest.raises(PreconditionError):
-        classify_undirected_template(p3, assume_core=True)
+    # Above the core recheck limit, a bipartite multi-edge template is
+    # still refuted by its shape: it retracts onto one of its edges.
+    names = [f"v{i}" for i in range(9)]
+    path = undirected_template(list(zip(names, names[1:])))
+    assert len(path.vertices) > unary._RECHECK_LIMIT
+    with pytest.raises(PreconditionError, match="bipartite"):
+        classify_undirected_template(path)
 
 
 def test_classify_refutes_a_loop_alongside_other_vertices_at_every_size():
     # Nine vertices, above the core recheck limit: the template retracts
-    # onto its loop, so it is no core, checked or not.
+    # onto its loop, so it is no core, though no core check runs.
     names = [f"v{i}" for i in range(9)]
-    q = undirected_template(list(zip(names, names[1:])), loops=["v0"])
+    path = list(zip(names, names[1:]))
+    q = undirected_template(path, loops=["v0"])
     assert len(q.vertices) > unary._RECHECK_LIMIT
     with pytest.raises(PreconditionError):
         classify_undirected_template(q)
-    with pytest.raises(PreconditionError):
-        classify_undirected_template(q, assume_core=True)
-    # an a+ loop beside an 'a' edge is as redundant as an 'a' loop
+    # An a+ loop beside an 'a' edge is as redundant as an 'a' loop: the
+    # walk there and back along the edge replaces it.  On an odd a-cycle
+    # only the loop refutation can tell, since the class is NP-complete.
+    for edges in (path, path + [("v8", "v0")]):
+        q = undirected_template(edges, plus_loops=["v0"])
+        assert len(q.vertices) > unary._RECHECK_LIMIT
+        with pytest.raises(PreconditionError, match="loop alongside"):
+            classify_undirected_template(q)
     small = undirected_template([("u", "v")], plus_loops=["u"])
     with pytest.raises(PreconditionError):
-        classify_undirected_template(small, assume_core=True)
+        classify_undirected_template(small)
 
 
 def test_classify_requires_undirected_connected():
@@ -275,74 +283,60 @@ def test_classify_requires_undirected_connected():
         classify_undirected_template(two_parts)
 
 
-def test_odd_a_cycle_shapes():
+def test_two_coloring_finds_odd_closed_walks():
     loop = undirected_template([], loops=["v"])
-    assert odd_a_cycle(loop) == ("v",)
+    assert _two_coloring(loop) == (None, ("v",))
     tri = undirected_template([("a1", "b1"), ("b1", "c1"), ("c1", "a1")])
-    cyc = odd_a_cycle(tri)
+    cyc = _two_coloring(tri)[1]
     assert cyc is not None and len(cyc) == 3
+    assert classify_undirected_template(tri).odd_cycle == cyc
     square = undirected_template(
         [("a1", "b1"), ("b1", "c1"), ("c1", "d1"), ("d1", "a1")])
-    assert odd_a_cycle(square) is None
+    side, odd = _two_coloring(square)
+    assert odd is None and side == {"a1": 0, "b1": 1, "c1": 0, "d1": 1}
 
 
 # ---------------------------------------------------------------------------
-# Easy solvers for polynomial templates
+# The undirected solver on the polynomial classes
 
 
 def test_easy_solver_agrees_with_general():
-    templates = [(classify_undirected_template(q), q)
-                 for q in poly_core_templates()]
     for seed in range(30):
         rng = random.Random(2000 + seed)
         p = random_unary_pattern(rng, rng.randint(1, 4), rng.randint(0, 5),
                                  undirected=True)
-        for template, q in templates:
-            fast = solve_undirected_easy(template, p)
+        for q in poly_core_templates():
+            cert = solve_undirected(p, q)
             general = n_hom(p, q)
-            assert fast == (general is not None), (seed, template.kind)
-            cert = easy_certificate(template, p, q)
-            assert (cert is not None) == fast
+            assert (cert is None) == (general is None), (seed, q)
             if cert is not None:
                 assert verify_n_hom(p, q, cert)
 
 
 def test_easy_solver_odd_even_cycle_against_edge():
     k2 = undirected_template([("u", "v")])
-    template = classify_undirected_template(k2)
     even = undirected_template(
         [("c0", "c1"), ("c1", "c2"), ("c2", "c3"), ("c3", "c0")])
     odd = undirected_template([("t0", "t1"), ("t1", "t2"), ("t2", "t0")])
-    assert solve_undirected_easy(template, even)
-    assert not solve_undirected_easy(template, odd)
+    cert = solve_undirected(even, k2)
+    assert cert.mapping == {"c0": "u", "c1": "v", "c2": "u", "c3": "v"}
+    assert verify_n_hom(even, k2, cert)
+    assert solve_undirected(odd, k2) is None
 
 
 def test_an_empty_template_is_refused():
     q = make_rgp("a", [], [])
-    for assume_core in (False, True):
-        with pytest.raises(PreconditionError):
-            classify_undirected_template(q, assume_core=assume_core)
+    with pytest.raises(PreconditionError):
+        classify_undirected_template(q)
     p = make_rgp("a", ["x"], [])
     with pytest.raises(PreconditionError):
-        easy_certificate(
-            TemplateClass(TemplateKind.POLY_SINGLE_VERTEX_NO_LOOP), p, q)
-
-
-def test_easy_certificate_refuses_a_class_the_template_does_not_have():
-    p = undirected_template([("x", "y")])
-    k3 = undirected_template([("u", "v"), ("v", "w"), ("w", "u")])
-    with pytest.raises(PreconditionError):
-        easy_certificate(TemplateClass(TemplateKind.POLY_SINGLE_EDGE_A), p, k3)
-    k2 = undirected_template([("u", "v")])
-    with pytest.raises(PreconditionError):
-        easy_certificate(TemplateClass(TemplateKind.POLY_LOOP_A), p, k2)
+        solve_undirected(p, q)
 
 
 def test_easy_solver_requires_undirected_pattern():
     k2 = undirected_template([("u", "v")])
-    template = classify_undirected_template(k2)
-    with pytest.raises(PreconditionError):
-        solve_undirected_easy(template, alternating_path())
+    with pytest.raises(PreconditionError, match="pattern must be undirected"):
+        solve_undirected(alternating_path(), k2)
 
 
 # ---------------------------------------------------------------------------
