@@ -27,14 +27,21 @@ the kept mask is dom[y] & reach, the relation's image of the whole
 value list, which each Rows computes once; when dom[x] has fewer values
 than dom[y], it is dom[y] & the OR of the rows of dom[x]; otherwise
 each value b of dom[y] is kept when its column meets dom[x]. The three
-agree, so the choice moves neither the fixpoint nor the budget. Arc
-consistency runs before the search and after every assignment. The
-search, a loop over an explicit stack, picks the most constrained
-variable first (fewest values, ties by variable order), tries its
-values from the lowest bit up, which is sorted order, and undoes an
-assignment by restoring a copy of the domain list. Results are
-therefore deterministic. The budget ticks once per revision and once
-per value tried.
+agree, so the choice moves neither the fixpoint nor the budget.
+
+Arc consistency runs before the search and after every value tried.
+After each propagation that succeeds, every unassigned variable whose
+domain holds one value is assigned at once, in variable order: at the
+arc-consistent fixpoint, propagating from it would change nothing, so
+it takes no frame, no tick and no propagation of its own. The search,
+a loop over an explicit stack, then picks the most constrained
+variable (fewest values, ties by variable order) and tries its values
+from the lowest bit up, which is sorted order. _propagate records the
+old mask of every domain it narrows on a trail, and backtracking pops
+the trail back to the frame's mark, so no frame copies the domain
+list and memory grows with the domains narrowed, not with depth times
+variables. Results are therefore deterministic. The budget ticks once
+per revision and once per value tried at a choice.
 """
 
 from __future__ import annotations
@@ -149,7 +156,8 @@ def iter_csp_solutions(
     dom = [masks[id(domains[v])] for v in variables]
     var = {v: i for i, v in enumerate(variables)}
     support = _network(var, values, dom, constraints)
-    if not _propagate(dom, support, range(len(dom)), budget):
+    if not all(dom) or not _propagate(dom, support, range(len(dom)), budget,
+                                      []):
         return
     yield from _search(dom, support, variables, values, budget)
 
@@ -169,10 +177,7 @@ def _network(var: dict[str, int], values: Sequence[Value], dom: list[int],
     support: list[list[_Arc]] = [[] for _ in dom]
     # Each relation kept on the unordered pair i < j, oriented from i.
     stored: set[tuple[int, int, tuple[int, ...]]] = set()
-    # One constraint given twice over the same object is dropped at once.
-    given = {(x, y, id(allowed)): (x, y, allowed)
-             for x, y, allowed in constraints}
-    for x, y, allowed in given.values():
+    for x, y, allowed in constraints:
         if not isinstance(allowed, Rows):
             allowed = pair_rows(allowed, values)
         elif len(allowed.rows) != len(values):
@@ -194,8 +199,10 @@ def _network(var: dict[str, int], values: Sequence[Value], dom: list[int],
 
 
 def _propagate(dom: list[int], support: list[list[_Arc]],
-               changed: Iterable[int], budget: SearchBudget) -> bool:
-    """AC-3 from the changed variables; False on a wiped domain."""
+               changed: Iterable[int], budget: SearchBudget,
+               trail: list[tuple[int, int]]) -> bool:
+    """AC-3 from the changed variables; False on a wiped domain. Each
+    domain it narrows is recorded as (variable, old mask) on trail."""
     queue = deque(changed)
     queued = [False] * len(dom)
     for x in queue:
@@ -230,6 +237,7 @@ def _propagate(dom: list[int], support: list[list[_Arc]],
             if keep != dy:
                 if not keep:
                     return False
+                trail.append((y, dy))
                 dom[y] = keep
                 if not queued[y]:
                     queued[y] = True
@@ -240,43 +248,62 @@ def _propagate(dom: list[int], support: list[list[_Arc]],
 def _search(dom: list[int], support: list[list[_Arc]], names: Sequence[str],
             values: Sequence[Value],
             budget: SearchBudget) -> Iterator[dict[str, Value]]:
-    """Every solution below the arc-consistent domains dom, depth first.
+    """Every solution below the arc-consistent, nonempty domains dom,
+    depth first.
 
-    Each frame of the stack is [x, the values of x left to try, the
-    domains before x was assigned]; assignment holds the frames'
-    variables with their current values, in the order they were
-    assigned.
+    assignment holds the assigned variables with their values, in the
+    order they were assigned: exactly the variables whose domain is one
+    value. Every variable before first is assigned. Each frame of the
+    stack is [x, the values of x left to try, and the trail's length,
+    the assignment's size and first before x was assigned]. Undoing a
+    frame pops the trail back to its mark, restoring every domain the
+    frame's propagation narrowed, and drops the values assigned since.
     """
     assignment: dict[int, int] = {}
+    trail: list[tuple[int, int]] = []
     stack: list[list] = []
+    first = 0
+    # The variables whose domain became one value, in variable order.
+    forced = [x for x, mask in enumerate(dom) if not mask & (mask - 1)]
     while True:
+        for x in forced:
+            assignment[x] = dom[x].bit_length() - 1
         if len(assignment) == len(names):
             yield {names[x]: values[a] for x, a in assignment.items()}
         else:
-            var, fewest = -1, len(values) + 1
-            for x, mask in enumerate(dom):
-                if x not in assignment and mask.bit_count() < fewest:
-                    var, fewest = x, mask.bit_count()
-                    if fewest == 1:
-                        break
-            stack.append([var, dom[var], dom[:]])
+            while not dom[first] & (dom[first] - 1):
+                first += 1
+            # The unassigned variables are those of two values or more.
+            var, fewest = first, dom[first].bit_count()
+            for x in range(first + 1, len(dom)):
+                if fewest == 2:
+                    break
+                count = dom[x].bit_count()
+                if 1 < count < fewest:
+                    var, fewest = x, count
+            stack.append([var, dom[var], len(trail), len(assignment), first])
         # The next value to try, undoing the deepest assignment and
         # backtracking while a frame has none left.
         while stack:
             frame = stack[-1]
-            var, rest, saved = frame
-            if var in assignment:
-                del assignment[var]
-                dom[:] = saved
+            var, rest, mark, size, first = frame
+            while len(assignment) > size:
+                assignment.popitem()
+            while len(trail) > mark:
+                x, old = trail.pop()
+                dom[x] = old
             if not rest:
                 stack.pop()
                 continue
             low = rest & -rest
             frame[1] = rest ^ low
             budget.tick()
+            trail.append((var, dom[var]))
             dom[var] = low
             assignment[var] = low.bit_length() - 1
-            if _propagate(dom, support, (var,), budget):
+            if _propagate(dom, support, (var,), budget, trail):
+                forced = sorted({x for x, _ in trail[mark + 1:]
+                                 if not dom[x] & (dom[x] - 1)})
                 break
         else:
             return

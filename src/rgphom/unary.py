@@ -40,6 +40,7 @@ from .errors import (
 from .nhom import NHomomorphism, is_n_core, label_relations, n_hom
 from .regexes import RegexAst, Sym
 from .rgp import (
+    LabelClass,
     LabelKind,
     Rgp,
     _is_acyclic,
@@ -110,19 +111,21 @@ class TwoLabeledDigraph:
         return "\n".join(lines) + "\n"
 
 
-def _require_unary(p: Rgp, role: str) -> str | None:
+def _require_unary(p: Rgp, role: str) -> LabelClass:
     cls = label_class(p)
     if cls.kind is LabelKind.GENERAL:
         raise PreconditionError(f"{role} labels must all be a or a+")
-    return cls.symbol
+    return cls
 
 
-def _require_same_symbol(p: Rgp, q: Rgp) -> None:
-    """Both p and q unary, over one symbol when both have arcs."""
-    sp = _require_unary(p, "pattern")
-    sq = _require_unary(q, "target")
-    if sp is not None and sq is not None and sp != sq:
-        raise PreconditionError(f"mismatched symbols {sp!r} vs {sq!r}")
+def _require_same_symbol(p: Rgp, q: Rgp) -> LabelClass:
+    """Both p and q unary, over one symbol when both have arcs; the
+    label class of q."""
+    sp = _require_unary(p, "pattern").symbol
+    cls = _require_unary(q, "target")
+    if sp is not None and cls.symbol is not None and sp != cls.symbol:
+        raise PreconditionError(f"mismatched symbols {sp!r} vs {cls.symbol!r}")
+    return cls
 
 
 def _split_arcs(p: Rgp) -> tuple[set[tuple[str, str]], set[tuple[str, str]]]:
@@ -435,7 +438,6 @@ def solve_undirected(
     _require_same_symbol(p, q)
     if not is_undirected(p):
         raise PreconditionError("pattern must be undirected")
-    _require_unary(p, "pattern")
     if kind is TemplateKind.POLY_SINGLE_EDGE_A:
         side = _two_coloring(p)[0]
     else:
@@ -851,14 +853,14 @@ def solve_path_template(
     order = directed_path_order(q)
     if order is None:
         raise PreconditionError("target is not a directed path")
-    _require_same_symbol(p, q)
+    kind = _require_same_symbol(p, q).kind
     if not p.vertices:
         return NHomomorphism({}, {})
     if not q.vertices:
         return None
 
     budget = budget or SearchBudget()
-    if label_class(q).kind is LabelKind.UNARY_A_APLUS:
+    if kind is LabelKind.UNARY_A_APLUS:
         pattern, template = reduce_to_hom(p, q, budget)
         mapping = path_consistency_solve(pattern, template, budget)
         if mapping is None:
@@ -1019,7 +1021,8 @@ def path_consistency_solve(
         rows = pair_rows(h_arcs, values)
         constraints += [(x, y, rows) for x, y in sorted(g_arcs)]
     support = _network(var, values, dom, constraints)
-    if not all(dom) or not _propagate(dom, support, range(len(dom)), budget):
+    if not all(dom) or not _propagate(dom, support, range(len(dom)), budget,
+                                      []):
         return None
     for x in range(len(dom)):
         rest = dom[x]
@@ -1029,11 +1032,12 @@ def path_consistency_solve(
             low = rest & -rest
             rest ^= low
             budget.tick()
-            trial = dom[:]
-            trial[x] = low
-            if _propagate(trial, support, (x,), budget):
-                dom = trial
+            trail = [(x, dom[x])]
+            dom[x] = low
+            if _propagate(dom, support, (x,), budget, trail):
                 break
+            for y, old in reversed(trail):
+                dom[y] = old
         else:
             net = _PcNetwork(g, h)
             if not net.close(budget):

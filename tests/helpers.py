@@ -6,7 +6,8 @@ reference_csp is the plain value-list AC-3 and backtracking that the
 bitset constraint search is compared against; it shares no code with it.
 reference_propagate is the bitset AC-3 that revises every value of the
 revised domain on its own, which the revision from the smaller side
-replaced; it reaches the same domains with the same budget count.
+replaced; it reaches the same domains with the same budget count,
+and records the same (variable, old mask) entries on the trail.
 reference_determinize and reference_inclusion are the frozenset subset
 construction and the breadth-first search over the full DFA product
 that the bitmask determinize and the on-the-fly inclusion search
@@ -356,10 +357,11 @@ def reference_csp(variables: Sequence[str],
 
 
 def reference_propagate(dom: list[int], support, changed: Iterable[int],
-                        budget) -> bool:
+                        budget, trail: list[tuple[int, int]]) -> bool:
     """csp._propagate with every revision value by value: revising y
     against x keeps the value b of dom[y] when cols[b] & dom[x] is
-    nonzero. Same queue order and ticks; False on a wiped domain."""
+    nonzero. Same queue order, ticks and trail entries (variable, old
+    mask); False on a wiped domain."""
     queue = deque(changed)
     queued = [False] * len(dom)
     for x in queue:
@@ -380,6 +382,7 @@ def reference_propagate(dom: list[int], support, changed: Iterable[int],
             if keep != dom[y]:
                 if not keep:
                     return False
+                trail.append((y, dom[y]))
                 dom[y] = keep
                 if not queued[y]:
                     queued[y] = True

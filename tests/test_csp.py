@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -260,10 +261,16 @@ def test_revision_by_image_matches_revision_value_by_value():
         changed = rng.sample(range(len(dom)), rng.randint(1, len(dom)))
         got, want = dom[:], dom[:]
         ours, theirs = SearchBudget(), SearchBudget()
-        verdict = _propagate(got, support, changed, ours)
-        assert verdict == reference_propagate(want, support, changed, theirs)
+        got_trail, want_trail = [], []
+        verdict = _propagate(got, support, changed, ours, got_trail)
+        assert verdict == reference_propagate(want, support, changed, theirs,
+                                              want_trail)
         assert got == want
+        assert got_trail == want_trail
         assert ours.nodes == theirs.nodes
+        for y, old in reversed(got_trail):
+            got[y] = old
+        assert got == dom
         wiped += not verdict
     assert 50 < wiped < 550
 
@@ -322,3 +329,71 @@ def test_solvers_answer_as_with_revision_value_by_value(monkeypatch):
     assert ours == theirs
     assert sum(h is None for h, _ in ours) >= 5
     assert sum(h is not None for h, _ in ours) >= 20
+
+
+def test_a_repeated_constraint_changes_neither_answer_nor_ticks():
+    # A constraint given twice is folded into the stored one, and a
+    # self-loop narrows its domain the same way twice.
+    diff = frozenset([("g", "r"), ("r", "g")])
+    names = [f"v{i}" for i in range(6)]
+    cs = [(x, y, diff) for x, y in zip(names, names[1:])]
+    cs.append(("v0", "v0", frozenset([("g", "g")])))
+    domains = {v: ["g", "r"] for v in names}
+    once, twice = SearchBudget(), SearchBudget()
+    sol = solve_csp(names, domains, cs, once)
+    assert sol == {v: "gr"[i % 2] for i, v in enumerate(names)}
+    assert solve_csp(names, domains, cs + cs, twice) == sol
+    assert twice.nodes == once.nodes
+    short = Rows((0b1,), (0b1,))
+    with pytest.raises(ValueError, match="sorted union"):
+        solve_csp(["v"], {"v": ["g", "r"]}, [("v", "v", short)],
+                  SearchBudget())
+
+
+def test_forced_values_cost_no_tick():
+    # Two-colouring a path: after its first variable takes a value, arc
+    # consistency leaves every other variable one value, and those are
+    # assigned without a tick.
+    n = 12
+    names = [f"v{i}" for i in range(n)]
+    diff = [("g", "r"), ("r", "g")]
+    cs = [edge(x, y, diff) for x, y in zip(names, names[1:])]
+    budget = SearchBudget()
+    sol = solve_csp(names, {v: ["g", "r"] for v in names}, cs, budget)
+    assert sol == {v: "gr"[i % 2] for i, v in enumerate(names)}
+    # The ticks of arc consistency, of the one value tried and of its
+    # propagation, and no more.
+    var = {v: i for i, v in enumerate(names)}
+    dom = [0b11] * n
+    support = _network(var, ["g", "r"], dom, cs)
+    ac = SearchBudget()
+    assert _propagate(dom, support, range(n), ac, [])
+    dom[0] = 0b01
+    assert _propagate(dom, support, (0,), ac, [])
+    assert all(d in (0b01, 0b10) for d in dom)
+    assert budget.nodes == ac.nodes + 1
+
+
+@pytest.mark.parametrize("arcs", [
+    [("t0", "t1"), ("t1", "t2"), ("t2", "t0"), ("t3", "t0")],
+    [("t0", "t1"), ("t1", "t2"), ("t2", "t0"), ("t0", "t3"), ("t3", "t1")],
+], ids=["forced", "choices"])
+def test_a_long_path_is_searched_in_linear_memory(arcs):
+    # Into the first target every vertex of the path is forced once the
+    # first takes a value; into the second about a third of them are
+    # choices. Each search is as deep as the path.
+    n = 4000
+    names = [f"p{i}" for i in range(n)]
+    p = make_rgp("a", names, [(u, v, "a") for u, v in zip(names, names[1:])])
+    q = make_rgp("a", ["t0", "t1", "t2", "t3"],
+                 [(u, v, "a") for u, v in arcs])
+    clear_relation_cache()
+    tracemalloc.start()
+    try:
+        h = n_hom(p, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h is not None
+    assert peak < 10_000_000
+    assert verify_n_hom(p, q, h)
