@@ -31,7 +31,6 @@ from .nhom import (
     compose_n_hom,
     is_n_core,
     n_hom,
-    n_hom_equivalent,
     verify_n_hom,
 )
 from .regexes import (
@@ -57,7 +56,6 @@ from .rgp import (
     make_rgp,
     parse_rgp,
     serialize_rgp,
-    structural_predicates,
 )
 from .solver import solve
 from .testkit import (

@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .csp import _bits
 from .errors import TICK_BATCH, SearchBudget
 from .regexes import Concat, RegexAst, Star, Sym, Union
 from .rgp import _reach
@@ -97,7 +98,7 @@ def compile_nfa(node: RegexAst) -> Nfa:
         elif n is Concat:
             r_null, r_first, r_last = done.pop()
             l_null, l_first, l_last = done.pop()
-            for p in _members(l_last):
+            for p in _bits(l_last):
                 follow[p] |= r_first
             done.append((l_null and r_null,
                          l_first | r_first if l_null else l_first,
@@ -108,7 +109,7 @@ def compile_nfa(node: RegexAst) -> Nfa:
             done.append((l_null or r_null, l_first | r_first, l_last | r_last))
         elif n is Star:
             _, first, last = done.pop()
-            for p in _members(last):
+            for p in _bits(last):
                 follow[p] |= first
             done.append((True, first, last))
         else:
@@ -143,7 +144,7 @@ def compile_nfa(node: RegexAst) -> Nfa:
                     targets.append(state)
                 row[ch] = frozenset(targets)
         trans.append(row)
-    accepting = [index[q] for q in _members(last | 1 if nullable else last)]
+    accepting = [index[q] for q in _bits(last | 1 if nullable else last)]
     return Nfa(
         n_states=len(order),
         initial=0,
@@ -151,16 +152,6 @@ def compile_nfa(node: RegexAst) -> Nfa:
         trans=tuple(trans),
         alphabet=tuple(ch for ch, _ in symbols),
     )
-
-
-def _members(mask: int) -> list[int]:
-    """The bits set in mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def nfa_accepts(nfa: Nfa, word: str) -> bool:

@@ -95,16 +95,6 @@ def language_inclusion(e1: RegexAst, e2: RegexAst,
     return InclusionReport(counterexample is None, counterexample)
 
 
-def nfa_language_included(n1: Nfa, n2: Nfa,
-                          budget: SearchBudget | None = None) -> bool:
-    """Decide L(n1) <= L(n2) directly on automata.
-
-    Lets callers test against machine-derived languages (prefix
-    closures and the like) that have no expression form at hand.
-    """
-    return _missing_word(n1, n2, budget or SearchBudget()) is None
-
-
 def _missing_word(n1: Nfa, n2: Nfa, budget: SearchBudget) -> str | None:
     """The (length, alphabetical)-least word accepted by n1 and not by
     n2, if any, from the antichain search in the module docstring."""

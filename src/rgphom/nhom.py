@@ -137,12 +137,6 @@ def verify_n_hom(p: Rgp, q: Rgp, h: NHomomorphism,
     return True
 
 
-def n_hom_equivalent(p: Rgp, q: Rgp, budget: SearchBudget | None = None) -> bool:
-    """True when homomorphisms exist in both directions."""
-    budget = budget or SearchBudget()
-    return n_hom(p, q, budget) is not None and n_hom(q, p, budget) is not None
-
-
 def compose_n_hom(h1: NHomomorphism, h2: NHomomorphism) -> NHomomorphism:
     """Compose certificates: h1 from P to Q, h2 from Q to R.
 

@@ -198,32 +198,6 @@ def label_class(p: Rgp) -> LabelClass:
     return LabelClass(kind, symbol)
 
 
-@dataclass(frozen=True)
-class StructuralReport:
-    is_directed_path: bool
-    is_undirected: bool
-    is_connected: bool
-    is_acyclic: bool
-    # levels maps each vertex to a 1-based level with level(head) =
-    # level(tail) + 1 on every arc; present iff such a partition exists.
-    levels: dict[str, int] | None
-    # When levels is None: a closed undirected walk (arc index, +1 when
-    # traversed forward, -1 backward) whose signed length is nonzero.
-    unbalance_witness: tuple[tuple[int, int], ...] | None
-
-
-def structural_predicates(p: Rgp) -> StructuralReport:
-    levels, witness = _leveling(p)
-    return StructuralReport(
-        is_directed_path=directed_path_order(p) is not None,
-        is_undirected=is_undirected(p),
-        is_connected=is_connected(p),
-        is_acyclic=_is_acyclic(p),
-        levels=levels,
-        unbalance_witness=witness,
-    )
-
-
 def directed_path_order(p: Rgp) -> tuple[str, ...] | None:
     """The unique source-to-sink vertex order if the digraph is a
     directed path (labels ignored), else None."""
@@ -304,6 +278,10 @@ def _leveling(p: Rgp) -> tuple[dict[str, int] | None, tuple[tuple[int, int], ...
     walk has signed length zero, which also rules out directed cycles.
     On conflict the two discovery paths plus the conflicting arc form a
     verifiable nonzero closed walk.
+
+    Returns (levels, None), levels 1-based in each component with
+    level(head) = level(tail) + 1 on every arc, or (None, witness), the
+    closed walk as (arc index, +1 forward or -1 backward) steps.
     """
     incident: dict[str, list[tuple[int, int, str]]] = {v: [] for v in p.vertices}
     for i, arc in enumerate(p.arcs):

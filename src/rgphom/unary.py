@@ -23,7 +23,6 @@ The module covers four layers:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from collections import Counter, deque
 from enum import Enum
@@ -82,22 +81,6 @@ class TwoLabeledDigraph:
         arcs += [{"from": u, "to": v, "label": "t"}
                  for u, v in sorted(self.t_arcs)]
         return {"vertices": list(self.vertices), "arcs": arcs}
-
-    @classmethod
-    def from_json(cls, doc: "str | Mapping[str, Any]") -> "TwoLabeledDigraph":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        a_arcs, t_arcs = set(), set()
-        for arc in doc["arcs"]:
-            pair = (str(arc["from"]), str(arc["to"]))
-            if arc["label"] == "a":
-                a_arcs.add(pair)
-            elif arc["label"] == "t":
-                t_arcs.add(pair)
-            else:
-                raise PreconditionError(f"unknown label {arc['label']!r}")
-        return cls(tuple(str(v) for v in doc["vertices"]),
-                   frozenset(a_arcs), frozenset(t_arcs))
 
     def to_dot(self) -> str:
         lines = ["digraph {"]
@@ -706,26 +689,6 @@ class SchedulingInstance:
     durations: dict[str, int] = field(hash=False)
     constraints: tuple[tuple[str, str, int], ...] = ()
     horizon: int = 0
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "jobs": list(self.jobs),
-            "durations": dict(self.durations),
-            "constraints": [list(c) for c in self.constraints],
-            "horizon": self.horizon,
-        }
-
-    @classmethod
-    def from_json(cls, doc: "str | Mapping[str, Any]") -> "SchedulingInstance":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        return cls(
-            jobs=tuple(str(j) for j in doc["jobs"]),
-            durations={str(k): int(v) for k, v in doc["durations"].items()},
-            constraints=tuple((str(a), str(b), int(r))
-                              for a, b, r in doc["constraints"]),
-            horizon=int(doc["horizon"]),
-        )
 
 
 def to_scheduling(p2: Rgp, n: int) -> SchedulingInstance:

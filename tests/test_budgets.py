@@ -1,0 +1,132 @@
+"""The budget contract: every public function that takes a SearchBudget
+spends it, so a one-node budget stops each of them.
+
+Each entry of CASES runs one function on an instance where a default
+budget records more than one node; the function must then raise
+BudgetExceededError under SearchBudget(max_nodes=1).  A second test
+lists the functions with inspect and fails when the table misses one.
+"""
+
+from __future__ import annotations
+
+import importlib
+import inspect
+import pkgutil
+import random
+
+import pytest
+
+import rgphom
+from rgphom.automata import compile_nfa, determinize
+from rgphom.csp import Constraint, iter_csp_solutions, solve_csp
+from rgphom.errors import BudgetExceededError, SearchBudget
+from rgphom.languages import concat_inclusion, language_inclusion, universality
+from rgphom.nhom import is_n_core, label_relations, n_hom, verify_n_hom
+from rgphom.regexes import parse_regex
+from rgphom.solver import solve
+from rgphom.unary import (
+    SchedulingInstance,
+    audit_undirected_ncore,
+    classify_undirected_template,
+    d_of_q,
+    hom_two_labeled,
+    path_consistency_solve,
+    reduce_to_hom,
+    solve_path_template,
+    solve_scheduling,
+    solve_undirected,
+)
+from rgphom.walks import (
+    clear_relation_cache, find_walk, relation_for_label, walk_length_bound,
+    witness_walks,
+)
+
+from fixtures import (
+    a_path, alternating_path, chord_chain, planted_mixed_path,
+    undirected_template,
+)
+
+
+def rx(text, alphabet="ab"):
+    return parse_regex(text, alphabet)
+
+
+TRIANGLE = [Constraint(x, y, frozenset((a, b) for a in "012" for b in "012"
+                                       if a != b))
+            for x, y in (("x", "y"), ("y", "z"), ("x", "z"))]
+COLORS = {v: list("012") for v in "xyz"}
+K3 = undirected_template([("u", "v"), ("v", "w"), ("w", "u")])
+C4 = undirected_template([(f"d{i}", f"d{(i + 1) % 4}") for i in range(4)])
+C6 = undirected_template([(f"c{i}", f"c{(i + 1) % 6}") for i in range(6)])
+CHORD = chord_chain(3)
+PATH = a_path(4)
+IDENTITY = {f"p{i}": f"q{i}" for i in range(4)}
+MIXED_P, MIXED_Q = planted_mixed_path(random.Random(3), 8)
+SCHEDULE = SchedulingInstance(jobs=("C1", "C2"), durations={"C1": 2, "C2": 1},
+                              constraints=(("C1", "C2", -2),), horizon=3)
+
+
+# Each case builds the arguments of one call; only that call is charged.
+CASES = {
+    determinize: lambda: (compile_nfa(rx("(a|b)*a(a|b)(a|b)")),),
+    solve_csp: lambda: ("xyz", COLORS, TRIANGLE),
+    iter_csp_solutions: lambda: ("xyz", COLORS, TRIANGLE),
+    language_inclusion: lambda: (rx("a(a|b)*"), rx("(a|b)*a")),
+    # On (a|b)* the simulation proves universality at the root.
+    universality: lambda: (rx("(aa|ab|ba|bb)*|(a|b)(aa|ab|ba|bb)*"), "ab"),
+    concat_inclusion: lambda: ([rx("a"), rx("(a|b)*")], rx("a(a|b)*b|a")),
+    label_relations: lambda: (CHORD, PATH),
+    n_hom: lambda: (CHORD, PATH),
+    verify_n_hom: lambda: (CHORD, PATH, n_hom(CHORD, PATH)),
+    is_n_core: lambda: (CHORD,),
+    solve: lambda: (a_path(3, prefix="p"), a_path(5)),
+    d_of_q: lambda: (alternating_path(),),
+    reduce_to_hom: lambda: (MIXED_P, MIXED_Q),
+    hom_two_labeled: lambda: reduce_to_hom(MIXED_P, MIXED_Q),
+    audit_undirected_ncore: lambda: (K3,),
+    solve_undirected: lambda: (C6, C4),
+    classify_undirected_template: lambda: (K3,),
+    solve_scheduling: lambda: (SCHEDULE,),
+    solve_path_template: lambda: (MIXED_P, MIXED_Q),
+    path_consistency_solve: lambda: reduce_to_hom(MIXED_P, MIXED_Q),
+    walk_length_bound: lambda: (PATH, rx("(a|b)*a(a|b)(a|b)")),
+    find_walk: lambda: (PATH, "q0", "q3", rx("a+", "a")),
+    relation_for_label: lambda: (PATH, rx("a+", "a")),
+    witness_walks: lambda: (CHORD, IDENTITY, [relation_for_label(PATH, arc.label)
+                                              for arc in CHORD.arcs]),
+}
+
+
+def _run(fn, budget):
+    # A fresh instance and an empty relation cache for every run, so no
+    # relation or witness walk found by an earlier run is reused.
+    clear_relation_cache()
+    try:
+        result = fn(*CASES[fn](), budget=budget)
+        if inspect.isgenerator(result):
+            list(result)
+    finally:
+        clear_relation_cache()
+
+
+@pytest.mark.parametrize("fn", list(CASES),
+                         ids=lambda fn: f"{fn.__module__}.{fn.__name__}")
+def test_a_one_node_budget_stops_every_budgeted_function(fn):
+    budget = SearchBudget()
+    _run(fn, budget)
+    assert budget.nodes > 1
+    with pytest.raises(BudgetExceededError):
+        _run(fn, SearchBudget(max_nodes=1))
+
+
+def test_the_table_lists_every_budgeted_function():
+    budgeted = set()
+    for info in pkgutil.iter_modules(rgphom.__path__):
+        module = importlib.import_module(f"rgphom.{info.name}")
+        for name, obj in vars(module).items():
+            if (inspect.isfunction(obj) and not name.startswith("_")
+                    and obj.__module__ == module.__name__):
+                param = inspect.signature(obj).parameters.get("budget")
+                if param is not None and "SearchBudget" in str(param.annotation):
+                    budgeted.add(obj)
+    assert budgeted == set(CASES)

@@ -10,8 +10,8 @@ from rgphom.errors import (
     BudgetExceededError, CapExceededError, PreconditionError, SearchBudget,
 )
 from rgphom.languages import (
-    _simulation, concat_inclusion, language_inclusion, nfa_language_included,
-    truncated_words, truncation_equivalence_check, universality,
+    _simulation, concat_inclusion, language_inclusion, truncated_words,
+    truncation_equivalence_check, universality,
 )
 from rgphom.regexes import parse_regex
 from rgphom.testkit import concat_ast, random_regex
@@ -98,9 +98,6 @@ def test_inclusion_runs_out_of_a_tiny_budget():
     e2 = rx(ends_with_at(11))
     with pytest.raises(BudgetExceededError):
         language_inclusion(e1, e2, SearchBudget(max_nodes=5))
-    with pytest.raises(BudgetExceededError):
-        nfa_language_included(compile_nfa(e1), compile_nfa(e2),
-                              SearchBudget(max_nodes=5))
     budget = SearchBudget()
     assert language_inclusion(e1, e2, budget).holds
     assert 5 < budget.nodes < 10_000

@@ -9,9 +9,10 @@ import pytest
 from rgphom.errors import PreconditionError, RgpSchemaError
 from rgphom.regexes import Sym, parse_regex, plus
 from rgphom.rgp import (
-    Arc, LabelKind, Rgp, delete_arc, delete_vertex, directed_path_order, export_dot,
-    is_connected, is_graph_database, is_walk, label_class, make_rgp, parse_rgp,
-    serialize_rgp, signed_walk_sum, structural_predicates, walk_endpoints,
+    Arc, LabelKind, Rgp, _is_acyclic, _leveling, delete_arc, delete_vertex,
+    directed_path_order, export_dot, is_connected, is_graph_database,
+    is_undirected, is_walk, label_class, make_rgp, parse_rgp, serialize_rgp,
+    signed_walk_sum, walk_endpoints,
 )
 from rgphom.testkit import random_rgp
 
@@ -237,49 +238,46 @@ def test_label_class_cases():
 
 def test_structural_predicates_single_arc():
     p = make_rgp("a", ["u", "v"], [("u", "v", "a")])
-    report = structural_predicates(p)
-    assert report.is_directed_path
-    assert report.is_acyclic
-    assert not report.is_undirected
-    assert report.is_connected
-    assert report.levels == {"u": 1, "v": 2}
+    assert directed_path_order(p) == ("u", "v")
+    assert _is_acyclic(p)
+    assert not is_undirected(p)
+    assert is_connected(p)
+    assert _leveling(p) == ({"u": 1, "v": 2}, None)
 
 
 def test_structural_predicates_three_cycle():
     p = make_rgp("a", ["x", "y", "z"],
                  [("x", "y", "a"), ("y", "z", "a"), ("z", "x", "a")])
-    report = structural_predicates(p)
-    assert not report.is_acyclic
-    assert not report.is_directed_path
-    assert report.levels is None
-    assert report.unbalance_witness is not None
-    assert signed_walk_sum(p, report.unbalance_witness) != 0
+    assert not _is_acyclic(p)
+    assert directed_path_order(p) is None
+    levels, witness = _leveling(p)
+    assert levels is None
+    assert witness is not None
+    assert signed_walk_sum(p, witness) != 0
 
 
 def test_structural_predicates_unbalanced_diamond():
     # Two directed routes of different length between the same endpoints.
     p = make_rgp("a", ["s", "m", "t"],
                  [("s", "m", "a"), ("m", "t", "a"), ("s", "t", "a")])
-    report = structural_predicates(p)
-    assert report.is_acyclic
-    assert report.levels is None
-    assert signed_walk_sum(p, report.unbalance_witness) != 0
+    assert _is_acyclic(p)
+    levels, witness = _leveling(p)
+    assert levels is None
+    assert signed_walk_sum(p, witness) != 0
 
 
 def test_structural_predicates_undirected_pair():
     p = make_rgp("a", ["u", "v"], [("u", "v", "a"), ("v", "u", "a")])
-    report = structural_predicates(p)
-    assert report.is_undirected
-    assert not report.is_acyclic
-    assert report.levels is None
+    assert is_undirected(p)
+    assert not _is_acyclic(p)
+    assert _leveling(p)[0] is None
 
 
 def test_levels_are_per_component_and_one_based():
     p = make_rgp("a", ["u", "v", "w", "x"],
                  [("u", "v", "a"), ("w", "x", "a")])
-    report = structural_predicates(p)
-    assert report.levels == {"u": 1, "v": 2, "w": 1, "x": 2}
-    assert not report.is_connected
+    assert _leveling(p)[0] == {"u": 1, "v": 2, "w": 1, "x": 2}
+    assert not is_connected(p)
 
 
 def test_is_connected_matches_union_find():

@@ -100,9 +100,18 @@ def test_d_of_q_matches_matrix_closure():
 
 
 def test_two_labeled_json_roundtrip_and_dot():
+    # The document `rgphom dq` prints: vertices in pattern order, then
+    # the a-arcs and the t-arcs, each sorted.
     d = d_of_q(alternating_path())
-    again = TwoLabeledDigraph.from_json(d.to_json())
-    assert again == d
+    a_arcs = [("b", "a"), ("d", "c")]
+    t_arcs = [("b", "a"), ("c", "a"), ("c", "b"), ("d", "a"), ("d", "b"),
+              ("d", "c"), ("e", "a"), ("e", "b"), ("e", "c"), ("e", "d")]
+    assert d.to_json() == {
+        "vertices": ["e", "d", "c", "b", "a"],
+        "arcs": [{"from": u, "to": v, "label": label}
+                 for label, arcs in (("a", a_arcs), ("t", t_arcs))
+                 for u, v in arcs],
+    }
     dot = d.to_dot()
     assert "dashed" in dot and "digraph" in dot
 
@@ -515,12 +524,6 @@ def test_scheduling_feasible_results_satisfy_everything():
             assert 0 <= t[j] <= horizon - durations[j]
         for c1, c2, r in inst.constraints:
             assert t[c1] <= t[c2] + r
-
-
-def test_scheduling_json_roundtrip():
-    inst = SchedulingInstance(jobs=("A", "B"), durations={"A": 1, "B": 2},
-                              constraints=(("A", "B", -1),), horizon=4)
-    assert SchedulingInstance.from_json(inst.to_json()) == inst
 
 
 # ---------------------------------------------------------------------------
