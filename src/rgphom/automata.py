@@ -8,30 +8,30 @@ occurrences. Each node gets nullable, first and last, with first and
 last as bitmasks of positions, and follow[p] collects the positions
 that can come right after p: Concat(l, r) adds first(r) to follow[p]
 for p in last(l), and Star(c) adds first(c) to follow[p] for p in
-last(c). State 0 moves into first; state p moves into follow[p]; a
-move on ch goes to the positions that hold ch. The accepting states are
-last, plus state 0 when the expression accepts the empty word. So the
-NFA has one state per symbol occurrence plus one, and no epsilon arcs.
-Every position is reachable, as no AST denotes the empty language.
+last(c). State 0 is the initial state and state p is position p:
+state 0 moves into first, state p moves into follow[p], and a move on
+ch goes to the positions that hold ch. The accepting states are last,
+plus state 0 when the expression accepts the empty word. So the NFA
+has one state per symbol occurrence plus one, and no epsilon arcs.
 
-This is exactly the Thompson NFA after epsilon elimination and
-trimming: a trimmed Thompson state is the initial state or the target
-of one symbol occurrence, and the epsilon closure of that target holds
-the sources of the occurrences in its follow set. States are
-renumbered in breadth-first discovery order, symbols in sorted order
-and targets ascending, so the two constructions give equal Nfa values.
+The automaton is trim: no AST denotes the empty language, so each
+symbol occurrence is read by some word of the expression, whose run
+passes through its position from state 0 to an accepting state. So
+every state is reachable and reaches acceptance, and the walk engine
+takes a set of states from which no word is accepted to be empty.
 
 DFAs come from the reachable-subset construction and are total over
 their declared alphabet, with the empty subset acting as an explicit
 sink when it is reachable.
 
-Sets of NFA states are int bitmasks: bit q stands for state q. A subset
+Sets of NFA states are int bitmasks: bit q stands for state q, and an
+Nfa holds its accepting states and its moves that way too. A subset
 is stepped on a symbol by OR-ing the successor masks of its states
 (_successor_masks, _step), the one subset kernel that determinize, the
 on-the-fly inclusion search in languages and the label images of the
-walk engine all use. determinize
-numbers DFA states in breadth-first discovery order, symbols taken in
-sorted order, and ticks the search budget once per subset state.
+walk engine all use. determinize numbers DFA states in breadth-first
+discovery order, symbols taken in sorted order, and ticks the search
+budget once per subset state.
 """
 
 from __future__ import annotations
@@ -49,13 +49,11 @@ from .rgp import _reach
 class Nfa:
     n_states: int
     initial: int
-    accepting: frozenset[int]
-    # trans[q] maps a symbol to the frozenset of successor states.
-    trans: tuple[dict[str, frozenset[int]], ...]
+    accepting: int  # bit q is set when state q accepts
+    # trans[q] maps each symbol q moves on to the bitmask of its
+    # successors on it.
+    trans: tuple[dict[str, int], ...]
     alphabet: tuple[str, ...]
-
-    def successors(self, state: int, symbol: str) -> frozenset[int]:
-        return self.trans[state].get(symbol, frozenset())
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,7 @@ class Dfa:
 def compile_nfa(node: RegexAst) -> Nfa:
     """Build the position automaton of the expression (module docstring)."""
     # chars[p] is the symbol at position p, and follow[p] the bitmask of
-    # the positions that can come right after it; position 0 is the
+    # the positions that can come right after it; state 0 is the
     # initial state, and follow[0] ends up as first(node).
     chars = [""]
     follow = [0]
@@ -116,58 +114,32 @@ def compile_nfa(node: RegexAst) -> Nfa:
             raise TypeError(f"not a regex node: {n!r}")
     nullable, follow[0], last = done.pop()
 
-    # The move of state q on ch goes to follow[q] & at[ch]. States are
-    # renumbered in breadth-first discovery order, symbols in sorted
-    # order and targets ascending.
+    # The move of state p on ch goes to follow[p] & at[ch].
     at: dict[str, int] = {}
     for p in range(1, len(chars)):
         at[chars[p]] = at.get(chars[p], 0) | 1 << p
     symbols = sorted(at.items())
-    order = [0]
-    index = {0: 0}
-    trans: list[dict[str, frozenset[int]]] = []
-    for q in order:
-        after = follow[q]
-        row = {}
-        for ch, mask in symbols:
-            moves = after & mask
-            if moves:
-                targets = []
-                while moves:
-                    low = moves & -moves
-                    t = low.bit_length() - 1
-                    moves ^= low
-                    state = index.get(t)
-                    if state is None:
-                        state = index[t] = len(order)
-                        order.append(t)
-                    targets.append(state)
-                row[ch] = frozenset(targets)
-        trans.append(row)
-    accepting = [index[q] for q in _bits(last | 1 if nullable else last)]
     return Nfa(
-        n_states=len(order),
+        n_states=len(chars),
         initial=0,
-        accepting=frozenset(accepting),
-        trans=tuple(trans),
+        accepting=last | 1 if nullable else last,
+        trans=tuple({ch: moves for ch, mask in symbols
+                     if (moves := after & mask)} for after in follow),
         alphabet=tuple(ch for ch, _ in symbols),
     )
 
 
 def nfa_accepts(nfa: Nfa, word: str) -> bool:
-    current = frozenset((nfa.initial,))
+    masks = _successor_masks(nfa, set(word))
+    current = 1 << nfa.initial
     for ch in word:
-        current = frozenset(t for q in current for t in nfa.successors(q, ch))
-        if not current:
-            return False
+        current = _step(current, masks[ch])
     return bool(current & nfa.accepting)
 
 
 def _successor_masks(nfa: Nfa, alphabet: Iterable[str]) -> dict[str, list[int]]:
     """masks[ch][q] = bitmask of the states that q reaches on ch."""
-    return {ch: [sum(1 << t for t in nfa.successors(q, ch))
-                 for q in range(nfa.n_states)]
-            for ch in alphabet}
+    return {ch: [row.get(ch, 0) for row in nfa.trans] for ch in alphabet}
 
 
 def _step(subset: int, masks: list[int]) -> int:
@@ -208,13 +180,11 @@ def determinize(nfa: Nfa, alphabet: tuple[str, ...] | None = None,
             row[ch] = state
         delta.append(row)
     budget.tick(pos % TICK_BATCH)
-    accept = sum(1 << q for q in nfa.accepting)
-    accepting = frozenset(
-        i for i, subset in enumerate(order) if subset & accept)
     return Dfa(
         n_states=len(order),
         initial=0,
-        accepting=accepting,
+        accepting=frozenset(i for i, subset in enumerate(order)
+                            if subset & nfa.accepting),
         delta=tuple(delta),
         alphabet=alpha,
     )
@@ -235,15 +205,15 @@ def prefix_closure(nfa: Nfa) -> Nfa:
     Accepting states become those from which an accepting state is
     reachable, so the language turns into the prefix closure.
     """
-    reverse: list[set[int]] = [set() for _ in range(nfa.n_states)]
-    for q in range(nfa.n_states):
-        for targets in nfa.trans[q].values():
-            for t in targets:
-                reverse[t].add(q)
+    reverse: list[list[int]] = [[] for _ in range(nfa.n_states)]
+    for q, row in enumerate(nfa.trans):
+        for targets in row.values():
+            for t in _bits(targets):
+                reverse[t].append(q)
     return Nfa(
         n_states=nfa.n_states,
         initial=nfa.initial,
-        accepting=frozenset(_reach(reverse, nfa.accepting)),
+        accepting=sum(1 << q for q in _reach(reverse, _bits(nfa.accepting))),
         trans=nfa.trans,
         alphabet=nfa.alphabet,
     )

@@ -3,8 +3,9 @@ inclusion of concatenations, and bounded word enumeration.
 
 Inclusion L(n1) <= L(n2) is decided on the fly, without building a DFA
 for the right side. A breadth-first search runs over nodes (q1, S): q1
-is a state of n1, and S is the bitmask of the n2 states reached by the
-same word, stepped on demand with the subset kernel of automata and
+is a state of n1, whose moves are read once per call into target lists
+(_moves), and S is the bitmask of the n2 states reached by the same
+word, stepped on demand with the subset kernel of automata and
 memoised per call. Inclusion fails exactly when some node pairs an
 accepting q1 with an S that holds no accepting state of n2.
 
@@ -44,6 +45,7 @@ from typing import Iterable, Sequence
 from .automata import (
     _step, _successor_masks, compile_nfa, determinize, dfa_accepts, Nfa,
 )
+from .csp import _bits
 from .errors import (
     TICK_BATCH, CapExceededError, PreconditionError, SearchBudget,
 )
@@ -99,16 +101,14 @@ def _missing_word(n1: Nfa, n2: Nfa, budget: SearchBudget) -> str | None:
     """The (length, alphabetical)-least word accepted by n1 and not by
     n2, if any, from the antichain search in the module docstring."""
     masks = _successor_masks(n2, n1.alphabet)
-    accepting2 = sum(1 << q for q in n2.accepting)
     # images[ch][S] memoises the step of the subset S on ch.
     images: dict[str, dict[int, int]] = {ch: {} for ch in n1.alphabet}
-    moves = [[(ch, sorted(n1.trans[q][ch])) for ch in sorted(n1.trans[q])]
-             for q in range(n1.n_states)]
+    moves, final1 = _moves(n1)
     start = (n1.initial, 1 << n2.initial)
     parents: dict[tuple[int, int], tuple[tuple[int, int], str]] = {}
 
     def missing(node: tuple[int, int]) -> bool:
-        return node[0] in n1.accepting and not node[1] & accepting2
+        return node[0] in final1 and not node[1] & n2.accepting
 
     def word_to(node: tuple[int, int]) -> str:
         word: list[str] = []
@@ -119,7 +119,7 @@ def _missing_word(n1: Nfa, n2: Nfa, budget: SearchBudget) -> str | None:
 
     if missing(start):
         return ""
-    sim = _simulation(n1, n2, budget)
+    sim = _simulation((moves, final1), n2, budget)
     if start[1] & sim[n1.initial]:
         return None
     # kept[q1]: the minimal masks reached with q1, an antichain.
@@ -156,8 +156,21 @@ def _missing_word(n1: Nfa, n2: Nfa, budget: SearchBudget) -> str | None:
     return None
 
 
-def _simulation(n1: Nfa, n2: Nfa, budget: SearchBudget) -> list[int]:
-    """sim[q1]: the bitmask of the n2 states that simulate q1.
+def _moves(nfa: Nfa) -> tuple[list[list[tuple[str, list[int]]]], set[int]]:
+    """moves[q]: (symbol, successors of q on it, ascending) for each
+    symbol q moves on, in sorted order; and the set of accepting states.
+    Built once per search, so no node reads a mask as wide as the NFA."""
+    # One target, the common case, is read off without copying its mask.
+    moves = [[(ch, [t.bit_length() - 1] if t.bit_count() == 1
+               else list(_bits(t))) for ch, t in sorted(row.items())]
+             for row in nfa.trans]
+    return moves, set(_bits(nfa.accepting))
+
+
+def _simulation(n1: tuple[list[list[tuple[str, list[int]]]], set[int]],
+                n2: Nfa, budget: SearchBudget) -> list[int]:
+    """sim[q1]: the bitmask of the n2 states that simulate q1, n1 given
+    as its _moves.
 
     The maximal forward simulation, as a greatest fixpoint: s simulates
     q1 when s accepts if q1 does, and each move of q1 on a symbol is
@@ -165,31 +178,29 @@ def _simulation(n1: Nfa, n2: Nfa, budget: SearchBudget) -> list[int]:
     Refined on a worklist of n1 states; ticks the budget once per
     refinement.
     """
+    moves, final1 = n1
     # preds[ch][t]: the n2 states that reach t on ch, so that stepping
     # a mask X on preds[ch] gives the states with a ch-move into X.
-    preds = {ch: [0] * n2.n_states for ch in n1.alphabet}
-    for s in range(n2.n_states):
-        for ch, targets in n2.trans[s].items():
-            row = preds.get(ch)
-            if row is not None:
-                for t in targets:
-                    row[t] |= 1 << s
-    back: list[set[int]] = [set() for _ in range(n1.n_states)]
-    for q in range(n1.n_states):
-        for targets in n1.trans[q].values():
+    preds = {ch: [0] * n2.n_states
+             for ch in {*n2.alphabet, *(ch for row in moves for ch, _ in row)}}
+    for s, row in enumerate(n2.trans):
+        for ch, targets in row.items():
+            for t in _bits(targets):
+                preds[ch][t] |= 1 << s
+    back: list[set[int]] = [set() for _ in moves]
+    for q, row in enumerate(moves):
+        for _, targets in row:
             for t in targets:
                 back[t].add(q)
-    accepting2 = sum(1 << q for q in n2.accepting)
     everything = (1 << n2.n_states) - 1
-    sim = [accepting2 if q in n1.accepting else everything
-           for q in range(n1.n_states)]
-    queue = list(range(n1.n_states))
-    queued = [True] * n1.n_states
+    queue = list(range(len(moves)))
+    sim = [n2.accepting if q in final1 else everything for q in queue]
+    queued = [True] * len(moves)
     while queue:
         q1 = queue.pop()
         queued[q1] = False
         mask = sim[q1]
-        for ch, targets in n1.trans[q1].items():
+        for ch, targets in moves[q1]:
             for t1 in targets:
                 if not mask:
                     break
@@ -242,37 +253,33 @@ def _chain(parts: Sequence[Nfa], budget: SearchBudget) -> Nfa:
     if len(parts) == 1:
         return parts[0]
     base = sum(part.n_states for part in parts)
-    blocks: list[list[dict[str, frozenset[int]]]] = []
-    accepting: set[int] = set()
+    trans: list[dict[str, int]] = [{}] * base
+    accepting = 0
     # entry: the moves that start the rest of the chain; rest_nullable:
     # whether the rest accepts the empty word.
-    entry: dict[str, frozenset[int]] = {}
+    entry: dict[str, int] = {}
     moves = 0
     rest_nullable = True
     for part in reversed(parts):
         base -= part.n_states
-        rows = []
-        for q in range(part.n_states):
-            row = {ch: frozenset(base + t for t in targets)
-                   for ch, targets in part.trans[q].items()}
-            if q in part.accepting:
+        final = set(_bits(part.accepting))
+        for q, row in enumerate(part.trans):
+            row = trans[base + q] = {ch: targets << base
+                                     for ch, targets in row.items()}
+            if q in final:
                 budget.tick(moves)
                 for ch, targets in entry.items():
-                    row[ch] = row.get(ch, frozenset()) | targets
+                    row[ch] = row.get(ch, 0) | targets
                 if rest_nullable:
-                    accepting.add(base + q)
-            rows.append(row)
-        blocks.append(rows)
-        entry = rows[part.initial]
-        moves = sum(map(len, entry.values()))
-        rest_nullable = base + part.initial in accepting
-    trans = tuple({ch: row[ch] for ch in sorted(row)}
-                  for rows in reversed(blocks) for row in rows)
+                    accepting |= 1 << base + q
+        entry = trans[base + part.initial]
+        moves = sum(targets.bit_count() for targets in entry.values())
+        rest_nullable = part.initial in final and rest_nullable
     return Nfa(
         n_states=len(trans),
         initial=parts[0].initial,
-        accepting=frozenset(accepting),
-        trans=trans,
+        accepting=accepting,
+        trans=tuple(trans),
         alphabet=tuple(sorted({ch for part in parts for ch in part.alphabet})),
     )
 
@@ -280,25 +287,24 @@ def _chain(parts: Sequence[Nfa], budget: SearchBudget) -> Nfa:
 def truncated_words(b: RegexAst, bound: int, cap: int = DEFAULT_WORD_CAP) -> frozenset[str]:
     """All words of L(b) with length at most bound.
 
-    Walks the NFA level by level, tracking the reachable state set per
-    distinct word so duplicates collapse. Raises CapExceededError when
+    Walks the NFA level by level, tracking the mask of reachable states
+    per distinct word so duplicates collapse. Raises CapExceededError when
     the number of tracked words passes cap.
     """
     nfa = _compiled(b)
-    level: dict[str, frozenset[int]] = {"": frozenset((nfa.initial,))}
+    masks = _successor_masks(nfa, nfa.alphabet)
+    level: dict[str, int] = {"": 1 << nfa.initial}
     found: set[str] = set()
     total = len(level)
     for _ in range(bound + 1):
-        for word, states in level.items():
-            if states & nfa.accepting:
-                found.add(word)
-        nxt: dict[str, frozenset[int]] = {}
+        found.update(word for word, states in level.items()
+                     if states & nfa.accepting)
+        nxt: dict[str, int] = {}
         for word, states in level.items():
             if len(word) == bound:
                 continue
             for ch in nfa.alphabet:
-                targets = frozenset(
-                    t for q in states for t in nfa.successors(q, ch))
+                targets = _step(states, masks[ch])
                 if targets:
                     nxt[word + ch] = targets
         total += len(nxt)

@@ -307,11 +307,11 @@ def _within(nfa: Nfa, dfa: Dfa) -> bool:
     queue = deque([start])
     while queue:
         q1, q2 = queue.popleft()
-        if q1 in nfa.accepting and q2 not in dfa.accepting:
+        if nfa.accepting >> q1 & 1 and q2 not in dfa.accepting:
             return False
         for ch, targets in nfa.trans[q1].items():
             t2 = dfa.step(q2, ch)
-            for t1 in targets:
+            for t1 in _bits(targets):
                 if (t1, t2) not in seen:
                     seen.add((t1, t2))
                     queue.append((t1, t2))

@@ -42,6 +42,7 @@ from .rgp import (
     LabelClass,
     LabelKind,
     Rgp,
+    _dot_quote,
     _is_acyclic,
     _leveling,
     _reach,
@@ -83,13 +84,11 @@ class TwoLabeledDigraph:
         return {"vertices": list(self.vertices), "arcs": arcs}
 
     def to_dot(self) -> str:
-        lines = ["digraph {"]
-        for v in self.vertices:
-            lines.append(f'  "{v}";')
-        for u, v in sorted(self.a_arcs):
-            lines.append(f'  "{u}" -> "{v}" [label="a"];')
-        for u, v in sorted(self.t_arcs):
-            lines.append(f'  "{u}" -> "{v}" [label="t", style=dashed];')
+        lines = ["digraph {"] + [f"  {_dot_quote(v)};" for v in self.vertices]
+        for arcs, attrs in ((self.a_arcs, 'label="a"'),
+                            (self.t_arcs, 'label="t", style=dashed')):
+            lines += (f"  {_dot_quote(u)} -> {_dot_quote(v)} [{attrs}];"
+                      for u, v in sorted(arcs))
         lines.append("}")
         return "\n".join(lines) + "\n"
 

@@ -6,8 +6,9 @@ NFA and builds no DFA. Reading a word from the initial state reaches
 a mask, the bitmask of the NFA states that word leads to, and the
 words readable along a walk reach a set of masks. A walk qualifies
 exactly when every such mask holds an accepting state, and it can
-never be extended to one that qualifies once some mask holds no
-co-reachable state (automata.prefix_closure); such a set is dead.
+never be extended to one that qualifies once some mask is empty, as
+every state of E's position automaton reaches an accepting one
+(automata); such a set is dead.
 
 Both tests, and the step of a mask on a symbol, are monotone under
 inclusion, so only the minimal masks matter: the engine keeps the
@@ -26,8 +27,8 @@ and cuts the nodes actually reached.
   to. A BFS over the pairs (mask, state of B's NFA), started at
   (M, initial), steps masks with automata._step and drops a pair when
   a mask kept at the same NFA state is a subset of its own; the masks
-  kept at B's accepting states, minimised, are the image. A dead mask
-  there makes the image dead and ends the search. Images are memoised
+  kept at B's accepting states, minimised, are the image. An empty
+  mask there makes the image dead and ends the search. Images are memoised
   per (arc label, mask), and the image of an antichain, the minimal
   masks of its masks' images, per (arc label, antichain).
 - Relation rows from every source at once. The walk graph is
@@ -61,11 +62,10 @@ from collections.abc import (Callable, Iterable, Iterator, Mapping, Sequence,
                              Set)
 from dataclasses import dataclass, field
 
-from .automata import (Nfa, _step, _successor_masks, determinize,
-                       prefix_closure)
+from .automata import _step, _successor_masks, determinize
 from .csp import Rows, _bits
 from .errors import TICK_BATCH, PreconditionError, SearchBudget
-from .languages import _compiled
+from .languages import _compiled, _moves
 from .regexes import RegexAst
 from .rgp import Rgp
 
@@ -146,10 +146,10 @@ def _fold(components: list[list[int]], comp: dict[int, int],
 
 
 class _Engine:
-    """Per-(target, label) search state: the label's NFA and its
-    co-reachable states, the target's out-arcs by vertex index, the
-    interned antichains, and per distinct target arc label the memoised
-    images of masks and of antichains.
+    """Per-(target, label) search state: the label's successor masks
+    and accepting states, the target's out-arcs by vertex index, the
+    interned antichains, and per distinct target arc label its NFA's
+    moves and the memoised images of masks and of antichains.
 
     Images are computed on first use and tick the budget passed to the
     call that needs them, so an engine holds no budget of its own."""
@@ -160,8 +160,7 @@ class _Engine:
         self.index = {v: i for i, v in enumerate(self.names)}
         nfa = _compiled(e)
         self.masks = _successor_masks(nfa, q.alphabet)
-        self.accepting = sum(1 << s for s in nfa.accepting)
-        self.live = sum(1 << s for s in prefix_closure(nfa).accepting)
+        self.accepting = nfa.accepting
         # antichains[k] is the antichain with id k, its masks sorted;
         # rejecting[k] tells whether one of them holds no accepting state.
         self.ids: dict[tuple[int, ...], int] = {}
@@ -170,20 +169,21 @@ class _Engine:
         self._intern((1 << nfa.initial,))
         # out[v] lists (arc index, dst index, label id) in arc order.
         self.out: list[list[tuple[int, int, int]]] = [[] for _ in q.vertices]
+        # arc_moves[k] is the _moves of the NFA of arc label k.
         self.label_ids: dict[RegexAst, int] = {}
-        self.arc_nfas: list[Nfa] = []
+        self.arc_moves: list[tuple[list, set[int]]] = []
         for i, arc in enumerate(q.arcs):
             if arc.label not in self.label_ids:
-                self.label_ids[arc.label] = len(self.arc_nfas)
-                self.arc_nfas.append(_compiled(arc.label))
+                self.label_ids[arc.label] = len(self.arc_moves)
+                self.arc_moves.append(_moves(_compiled(arc.label)))
             self.out[self.index[arc.src]].append(
                 (i, self.index[arc.dst], self.label_ids[arc.label]))
         # _mask_images[k][M] is the image of the mask M under arc label k,
         # images[k][A] that of the antichain with id A; None or -1 when
         # the image holds a dead mask.
         self._mask_images: list[dict[int, tuple[int, ...] | None]] = [
-            {} for _ in self.arc_nfas]
-        self.images: list[dict[int, int]] = [{} for _ in self.arc_nfas]
+            {} for _ in self.arc_moves]
+        self.images: list[dict[int, int]] = [{} for _ in self.arc_moves]
 
     def _intern(self, antichain: tuple[int, ...]) -> int:
         k = self.ids.get(antichain)
@@ -197,26 +197,24 @@ class _Engine:
     def _mask_image(self, label_id: int, mask: int,
                     budget: SearchBudget) -> tuple[int, ...] | None:
         """The minimal masks that words of the arc label's language lead
-        mask to, or None when one of them is dead. A BFS over the nodes
-        (M, b), b a state of the arc label's NFA, steps M on each symbol
-        b reads, and drops a node when a mask kept at b is a subset of
-        its own: every mask that node leads to contains one the kept
-        node leads to. The masks kept at the NFA's accepting states are
-        therefore the image, up to minimisation."""
-        nfa = self.arc_nfas[label_id]
+        mask to, or None when one of them is dead, that is empty. A BFS
+        over the nodes (M, b), b a state of the arc label's NFA, steps M
+        on each symbol b reads, and drops a node when a mask kept at b
+        is a subset of its own: every mask that node leads to contains
+        one the kept node leads to. The masks kept at the NFA's
+        accepting states are therefore the image, up to minimisation."""
+        moves, accepting = self.arc_moves[label_id]
         masks = self.masks
-        live = self.live
-        accepting = nfa.accepting
-        kept: list[list[int]] = [[] for _ in range(nfa.n_states)]
-        kept[nfa.initial].append(mask)
-        queue = [(mask, nfa.initial)]
+        # State 0 is the initial state of a position automaton.
+        kept: list[list[int]] = [[mask]] + [[] for _ in moves[1:]]
+        queue = [(mask, 0)]
         pos = 0
         while pos < len(queue):
             subset, b = queue[pos]
             pos += 1
             if not pos % TICK_BATCH:
                 budget.tick(TICK_BATCH)
-            for ch, targets in nfa.trans[b].items():
+            for ch, targets in moves[b]:
                 image = _step(subset, masks[ch])
                 for b2 in targets:
                     antichain = kept[b2]
@@ -224,7 +222,7 @@ class _Engine:
                         continue
                     kept[b2] = [m for m in antichain if image & ~m]
                     kept[b2].append(image)
-                    if b2 in accepting and not image & live:
+                    if not image and b2 in accepting:
                         budget.tick(pos % TICK_BATCH)
                         return None
                     queue.append((image, b2))
@@ -476,9 +474,9 @@ def find_walk(
     for vertex in (u, v):
         if vertex not in q.vertices:
             raise PreconditionError(f"vertex {vertex!r} not in target")
-    use_budget = budget or SearchBudget()
     engine = _Engine(q, e)
-    return engine.walk(engine.index[u], engine.index[v], use_budget)
+    return engine.walk(engine.index[u], engine.index[v],
+                       budget or SearchBudget())
 
 
 def relation_for_label(
@@ -493,9 +491,8 @@ def relation_for_label(
     cached = _relation_cache.get(key)
     if cached is not None:
         return cached
-    use_budget = budget or SearchBudget()
     engine = _Engine(q, e)
-    rows, cols = engine.rows(use_budget)
+    rows, cols = engine.rows(budget or SearchBudget())
     relation = WalkRelation(label=e, target=q, names=engine.names,
                             rows=tuple(rows), cols=tuple(cols),
                             antichains=len(engine.antichains),

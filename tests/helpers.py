@@ -18,10 +18,14 @@ over bitmasks that prunes the inclusion search.
 reference_antichain_images is the walk engine's label images over
 antichains of NFA-state sets, by unpruned product searches and
 pairwise minimisation.
+The references over NFA states read frozen(nfa), a frozenset view of
+the bitmask Nfa, so that they share no set representation with the
+library.
 reference_compile_nfa and reference_parse_regex are the Thompson
 construction with epsilon elimination and the recursive-descent parser
 that the position automaton and the loop parser replaced; they return
-equal NFAs, and equal ASTs or the same parse errors.
+equal NFAs once both are put in canonical_nfa's numbering, and equal
+ASTs or the same parse errors.
 reference_word_matches is the recursive membership test that the
 explicit-stack testkit.word_matches replaced.
 union_find_components is the union-find that connectivity checks are
@@ -32,9 +36,10 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from rgphom.automata import Dfa, Nfa, compile_nfa, determinize
+from rgphom.csp import _bits
 from rgphom.errors import RegexParseError
 from rgphom.languages import concat_inclusion
 from rgphom.regexes import _META, Concat, RegexAst, Star, Sym, Union, plus
@@ -85,9 +90,57 @@ def inclusion_by_enumeration(e1: RegexAst, e2: RegexAst,
     return None
 
 
+class FrozenNfa(NamedTuple):
+    """An Nfa with frozensets of states in place of its bitmasks."""
+
+    n_states: int
+    initial: int
+    accepting: frozenset[int]
+    trans: tuple[dict[str, frozenset[int]], ...]
+    alphabet: tuple[str, ...]
+
+    def successors(self, state: int, symbol: str) -> frozenset[int]:
+        return self.trans[state].get(symbol, frozenset())
+
+
+def frozen(nfa: Nfa) -> FrozenNfa:
+    return FrozenNfa(
+        nfa.n_states, nfa.initial, frozenset(_bits(nfa.accepting)),
+        tuple({ch: frozenset(_bits(targets)) for ch, targets in row.items()}
+              for row in nfa.trans),
+        nfa.alphabet)
+
+
+def canonical_nfa(nfa: Nfa) -> Nfa:
+    """The states reachable from the initial one, renumbered in
+    breadth-first discovery order, symbols in sorted order and targets
+    ascending; the alphabet becomes the symbols left on some move."""
+    order = [nfa.initial]
+    index = {nfa.initial: 0}
+    for q in order:
+        for ch in sorted(nfa.trans[q]):
+            for t in _bits(nfa.trans[q][ch]):
+                if t not in index:
+                    index[t] = len(order)
+                    order.append(t)
+    trans = tuple(
+        {ch: sum(1 << index[t] for t in _bits(nfa.trans[q][ch]))
+         for ch in sorted(nfa.trans[q])}
+        for q in order)
+    return Nfa(
+        n_states=len(order),
+        initial=0,
+        accepting=sum(1 << index[q] for q in _bits(nfa.accepting)
+                      if q in index),
+        trans=trans,
+        alphabet=tuple(sorted({ch for row in trans for ch in row})),
+    )
+
+
 def reference_determinize(nfa: Nfa, alphabet: Iterable[str] = ()) -> Dfa:
     """Reachable-subset DFA over frozensets of NFA states, numbered in
     breadth-first discovery order with symbols in sorted order."""
+    nfa = frozen(nfa)
     alpha = tuple(sorted(set(nfa.alphabet) | set(alphabet)))
     start = frozenset((nfa.initial,))
     order = [start]
@@ -115,7 +168,7 @@ def reference_inclusion(e1: RegexAst, e2: RegexAst) -> str | None:
     """Shortest, then alphabetically first, word of L(e1) - L(e2), by a
     breadth-first search over the product of e1's NFA and the full DFA
     of e2, characters and targets in sorted order; None on inclusion."""
-    n1 = compile_nfa(e1)
+    n1 = frozen(compile_nfa(e1))
     d2 = reference_determinize(compile_nfa(e2), n1.alphabet)
     start = (n1.initial, d2.initial)
     parents = {}
@@ -148,6 +201,7 @@ def reference_simulation(n1: Nfa, n2: Nfa) -> list[int]:
     drops a pair while some move of q1 to t1 on a symbol has no move of
     s on that symbol to a t2 with (t1, t2) still kept.
     """
+    n1, n2 = frozen(n1), frozen(n2)
     pairs = {(q1, s) for q1 in range(n1.n_states) for s in range(n2.n_states)
              if q1 not in n1.accepting or s in n2.accepting}
     changed = True
@@ -190,6 +244,7 @@ def walk_qualifies(q: Rgp, walk: Sequence[int], e: RegexAst) -> bool:
 def reference_label_images(dfa: Dfa, nfa: Nfa) -> list[frozenset[int]]:
     """images[s] = every DFA state reachable from s by a word of L(nfa),
     by one BFS over the product automaton per start state."""
+    nfa = frozen(nfa)
     result = []
     for start in range(dfa.n_states):
         seen = {(start, nfa.initial)}
@@ -218,6 +273,7 @@ def reference_antichain_images(
     runs its own BFS over (frozenset of nfa states, arc_nfa state)
     pairs with no pruning, and the sets reached at accepting arc_nfa
     states are minimised by comparing every two."""
+    nfa, arc_nfa = frozen(nfa), frozen(arc_nfa)
     live = set(nfa.accepting)
     grew = True
     while grew:
@@ -392,9 +448,8 @@ def reference_propagate(dom: list[int], support, changed: Iterable[int],
 
 def reference_compile_nfa(node: RegexAst) -> Nfa:
     """The epsilon-free NFA of the expression by the Thompson
-    construction: epsilon closures, then a trim renumbered in
-    breadth-first discovery order, symbols sorted and targets
-    ascending."""
+    construction: epsilon closures, then trimmed to its reachable
+    states in canonical_nfa's numbering."""
     builder = _Thompson()
     initial, accepts = builder.build(node)
     return builder.finish(initial, accepts)
@@ -441,43 +496,24 @@ class _Thompson:
         closures = [_reach(eps, (q,)) for q in range(self.count)]
 
         accepting = set(accepts)
-        raw: list[dict[str, set[int]]] = [{} for _ in range(self.count)]
+        raw: list[dict[str, int]] = [{} for _ in range(self.count)]
         by_src: list[list[tuple[str, int]]] = [[] for _ in range(self.count)]
         for s, ch, t in self.sym_edges:
             by_src[s].append((ch, t))
-        new_accepting = set()
+        new_accepting = 0
         for q in range(self.count):
             for q2 in closures[q]:
                 for ch, t in by_src[q2]:
-                    raw[q].setdefault(ch, set()).add(t)
+                    raw[q][ch] = raw[q].get(ch, 0) | 1 << t
             if closures[q] & accepting:
-                new_accepting.add(q)
-
-        # Trim to states reachable from the initial one, renumbering in
-        # discovery order so construction is deterministic.
-        order: list[int] = [initial]
-        index = {initial: 0}
-        pos = 0
-        while pos < len(order):
-            q = order[pos]
-            pos += 1
-            for ch in sorted(raw[q]):
-                for t in sorted(raw[q][ch]):
-                    if t not in index:
-                        index[t] = len(order)
-                        order.append(t)
-        trans = tuple(
-            {ch: frozenset(index[t] for t in raw[q][ch] if t in index)
-             for ch in sorted(raw[q])}
-            for q in order)
-        alphabet = tuple(sorted({ch for d in trans for ch in d}))
-        return Nfa(
-            n_states=len(order),
-            initial=0,
-            accepting=frozenset(index[q] for q in new_accepting if q in index),
-            trans=trans,
-            alphabet=alphabet,
-        )
+                new_accepting |= 1 << q
+        return canonical_nfa(Nfa(
+            n_states=self.count,
+            initial=initial,
+            accepting=new_accepting,
+            trans=tuple(raw),
+            alphabet=tuple(sorted({ch for _, ch, _ in self.sym_edges})),
+        ))
 
 
 class _RecursiveParser:

@@ -8,12 +8,15 @@ from hypothesis import given, settings, strategies as st
 from rgphom.automata import (
     compile_nfa, determinize, dfa_accepts, nfa_accepts, prefix_closure,
 )
+from rgphom.csp import _bits
 from rgphom.errors import BudgetExceededError, RegexParseError, SearchBudget
+from rgphom.languages import _chain
 from rgphom.regexes import Star, Sym, node_count, parse_regex, plus
 from rgphom.testkit import random_regex
 
 from helpers import (
-    all_words, reference_compile_nfa, reference_determinize, words_of,
+    all_words, canonical_nfa, reference_compile_nfa, reference_determinize,
+    words_of,
 )
 from test_regexes import ast_strategy
 
@@ -29,7 +32,7 @@ def test_compile_single_symbol():
 
 def test_compile_star_initial_accepts():
     nfa = compile_nfa(Star(Sym("a")))
-    assert nfa.initial in nfa.accepting
+    assert nfa.accepting >> nfa.initial & 1
     assert nfa_accepts(nfa, "")
 
 
@@ -46,18 +49,19 @@ def test_compile_counts_one_state_per_symbol_occurrence():
     assert node.left is node.right.child
     nfa = compile_nfa(node)
     assert nfa.n_states == 5
-    assert nfa == reference_compile_nfa(node)
+    assert canonical_nfa(nfa) == reference_compile_nfa(node)
 
 
 def test_compile_matches_the_thompson_construction():
-    # Same states, numbering, moves and accepting set as the Thompson
-    # NFA after epsilon elimination and trimming: on random ASTs, and on
-    # parsed strings whose + shares a child between two occurrences.
+    # Same states, moves and accepting set as the Thompson NFA after
+    # epsilon elimination and trimming, once both are renumbered by
+    # canonical_nfa: on random ASTs, and on parsed strings whose +
+    # shares a child between two occurrences.
     rng = random.Random(11)
     for k in range(5000):
         alpha = ("a", "ab", "abc")[k % 3]
         node = random_regex(rng, rng.randint(1, 24), alpha)
-        assert compile_nfa(node) == reference_compile_nfa(node)
+        assert canonical_nfa(compile_nfa(node)) == reference_compile_nfa(node)
     parsed = 0
     while parsed < 5000:
         text = "".join(rng.choice("ab()|*+.")
@@ -67,7 +71,8 @@ def test_compile_matches_the_thompson_construction():
         except RegexParseError:
             continue
         parsed += 1
-        assert compile_nfa(node) == reference_compile_nfa(node), text
+        assert (canonical_nfa(compile_nfa(node))
+                == reference_compile_nfa(node)), text
 
 
 def test_determinize_single_symbol_has_explicit_sink():
@@ -139,6 +144,47 @@ def test_nfa_and_dfa_agree_with_semantic_enumeration(ast):
     for word in all_words("ab", 5):
         assert nfa_accepts(nfa, word) == (word in expected)
         assert dfa_accepts(dfa, word) == (word in expected)
+
+
+def _reachable(nfa):
+    """The bitmask of the states reachable from the initial one."""
+    seen = 1 << nfa.initial
+    stack = [nfa.initial]
+    while stack:
+        for targets in nfa.trans[stack.pop()].values():
+            for t in _bits(targets & ~seen):
+                seen |= 1 << t
+                stack.append(t)
+    return seen
+
+
+def test_position_automata_are_trim():
+    # The walk engine takes a set of states that no word leads to
+    # acceptance to be the empty set, which holds because every state
+    # of compile_nfa(e) reaches an accepting one. Every state is also
+    # reachable. A chain of compiled parts reaches acceptance from every
+    # state too; there, the initial states of the later parts, which no
+    # move enters, are the only unreachable ones.
+    rng = random.Random(2206)
+    for k in range(3000):
+        alpha = ("a", "ab", "abc")[k % 3]
+        nfa = compile_nfa(random_regex(rng, rng.randint(1, 24), alpha))
+        everything = (1 << nfa.n_states) - 1
+        assert _reachable(nfa) == everything
+        assert prefix_closure(nfa).accepting == everything
+    for k in range(600):
+        alpha = ("a", "ab", "abc")[k % 3]
+        parts = [compile_nfa(random_regex(rng, rng.randint(1, 8), alpha))
+                 for _ in range(rng.randint(2, 4))]
+        chain = _chain(parts, SearchBudget())
+        everything = (1 << chain.n_states) - 1
+        assert prefix_closure(chain).accepting == everything
+        later_initials = 0
+        base = 0
+        for part in parts[:-1]:
+            base += part.n_states
+            later_initials |= 1 << base
+        assert _reachable(chain) == everything & ~later_initials
 
 
 @settings(deadline=None)

@@ -10,7 +10,7 @@ from rgphom.errors import (
     BudgetExceededError, CapExceededError, PreconditionError, SearchBudget,
 )
 from rgphom.languages import (
-    _simulation, concat_inclusion, language_inclusion, truncated_words,
+    _moves, _simulation, concat_inclusion, language_inclusion, truncated_words,
     truncation_equivalence_check, universality,
 )
 from rgphom.regexes import parse_regex
@@ -110,7 +110,7 @@ def test_simulation_matches_the_pairwise_fixpoint_on_random_pairs():
         alpha = ("a", "ab", "abc")[k % 3]
         n1 = compile_nfa(random_regex(rng, rng.randint(1, 10), alpha))
         n2 = compile_nfa(random_regex(rng, rng.randint(1, 14), alpha))
-        sim = _simulation(n1, n2, SearchBudget())
+        sim = _simulation(_moves(n1), n2, SearchBudget())
         assert sim == reference_simulation(n1, n2), (k, n1, n2)
         related += bool(sim[n1.initial] & 1 << n2.initial)
     # Neither side of the comparison is trivial: the initial states are

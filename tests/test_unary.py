@@ -116,6 +116,20 @@ def test_two_labeled_json_roundtrip_and_dot():
     assert "dashed" in dot and "digraph" in dot
 
 
+def test_two_labeled_dot_quotes_vertex_ids():
+    # A quote or a backslash in a vertex id is escaped, as export_dot
+    # escapes it, so the document stays DOT.
+    q = make_rgp("a", ['x"y', "p\\q"], [('x"y', "p\\q", "a")])
+    assert d_of_q(q).to_dot().splitlines() == [
+        "digraph {",
+        '  "x\\"y";',
+        '  "p\\\\q";',
+        '  "x\\"y" -> "p\\\\q" [label="a"];',
+        '  "x\\"y" -> "p\\\\q" [label="t", style=dashed];',
+        "}",
+    ]
+
+
 def test_two_labeled_rejects_unknown_vertex():
     with pytest.raises(Exception):
         TwoLabeledDigraph(("u",), frozenset({("u", "v")}), frozenset())

@@ -68,6 +68,21 @@ def test_relation_empty_when_no_label_fits():
     assert relation_for_label(q, rx("b")).pairs == frozenset()
 
 
+def test_an_image_dies_by_emptying():
+    # Every state of a*'s NFA reaches acceptance, so the only dead mask
+    # is the empty one: a b arc steps {initial} to it, and the image is
+    # dead, for the mask and for the antichain.
+    q = make_rgp("ab", ["u", "v"], [("u", "v", "b")])
+    clear_relation_cache()
+    relation = relation_for_label(q, rx("a*"))
+    assert relation.rows == (0, 0) and relation.pairs == frozenset()
+    engine = relation._engine
+    label = engine.label_ids[rx("b")]
+    assert engine._mask_images[label] == {1: None}
+    assert engine.images[label] == {0: -1}
+    assert find_walk(q, "u", "v", rx("a*")) is None
+
+
 def test_relation_under_sigma_star():
     q = make_rgp("ab", ["v", "u"], [("v", "u", "a")])
     relation = relation_for_label(q, rx("(a|b)*"))
