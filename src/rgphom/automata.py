@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .csp import _bits
-from .errors import TICK_BATCH, SearchBudget
+from .errors import SearchBudget
 from .regexes import Concat, RegexAst, Star, Sym, Union
 from .rgp import _reach
 
@@ -168,8 +168,7 @@ def determinize(nfa: Nfa, alphabet: tuple[str, ...] | None = None,
     while pos < len(order):
         subset = order[pos]
         pos += 1
-        if not pos % TICK_BATCH:
-            budget.tick(TICK_BATCH)
+        budget.tick()
         row: dict[str, int] = {}
         for ch in alpha:
             nxt = _step(subset, masks[ch])
@@ -179,7 +178,6 @@ def determinize(nfa: Nfa, alphabet: tuple[str, ...] | None = None,
                 order.append(nxt)
             row[ch] = state
         delta.append(row)
-    budget.tick(pos % TICK_BATCH)
     return Dfa(
         n_states=len(order),
         initial=0,

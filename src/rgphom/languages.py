@@ -3,11 +3,11 @@ inclusion of concatenations, and bounded word enumeration.
 
 Inclusion L(n1) <= L(n2) is decided on the fly, without building a DFA
 for the right side. A breadth-first search runs over nodes (q1, S): q1
-is a state of n1, whose moves are read once per call into target lists
-(_moves), and S is the bitmask of the n2 states reached by the same
-word, stepped on demand with the subset kernel of automata and
-memoised per call. Inclusion fails exactly when some node pairs an
-accepting q1 with an S that holds no accepting state of n2.
+is a state of n1, whose moves it takes as target lists (_moves), and S
+is the bitmask of the n2 states reached by the same word, stepped on
+demand with the subset kernel of automata and memoised per call.
+Inclusion fails exactly when some node pairs an accepting q1 with an S
+that holds no accepting state of n2.
 
 The search is pruned with antichains (De Wulf, Doyen, Henzinger and
 Raskin, CAV 2006). For each q1 it keeps the minimal masks reached so
@@ -31,9 +31,10 @@ counterexample is ever dropped this way, so the first counterexample
 found is still the shortest, alphabetically first word. On e <= e|b*,
 with e = (a|b)*a(a|b)^18, the search ends at its root.
 
-Concatenation inclusion chains the factors' NFAs into one (_chain)
-instead of folding them into a regex, so a witness walk of any length
-is checked without recursion.
+Concatenation inclusion chains the factors' NFAs into the target lists
+of one NFA (_chain) instead of folding them into a regex, so a witness
+walk of any length is checked without recursion, in memory linear in
+the chain's moves.
 """
 
 from __future__ import annotations
@@ -46,12 +47,14 @@ from .automata import (
     _step, _successor_masks, compile_nfa, determinize, dfa_accepts, Nfa,
 )
 from .csp import _bits
-from .errors import (
-    TICK_BATCH, CapExceededError, PreconditionError, SearchBudget,
-)
+from .errors import CapExceededError, PreconditionError, SearchBudget
 from .regexes import RegexAst, sigma_star, symbols
 
 DEFAULT_WORD_CAP = 200_000
+
+# An NFA with state 0 initial, as _moves gives it: per state, (symbol,
+# ascending successors) in symbol order; and the set of accepting states.
+_Moves = tuple[list[list[tuple[str, list[int]]]], set[int]]
 
 
 @dataclass(frozen=True)
@@ -92,19 +95,21 @@ def language_inclusion(e1: RegexAst, e2: RegexAst,
                        budget: SearchBudget | None = None) -> InclusionReport:
     """Decide L(e1) <= L(e2); on failure report the shortest witness
     word, alphabetically first among the shortest."""
-    counterexample = _missing_word(_compiled(e1), _compiled(e2),
+    counterexample = _missing_word(_moves(_compiled(e1)), _compiled(e2),
                                    budget or SearchBudget())
     return InclusionReport(counterexample is None, counterexample)
 
 
-def _missing_word(n1: Nfa, n2: Nfa, budget: SearchBudget) -> str | None:
-    """The (length, alphabetical)-least word accepted by n1 and not by
-    n2, if any, from the antichain search in the module docstring."""
-    masks = _successor_masks(n2, n1.alphabet)
+def _missing_word(n1: _Moves, n2: Nfa, budget: SearchBudget) -> str | None:
+    """The (length, alphabetical)-least word accepted by n1, given as
+    its _moves, and not by n2, if any, from the antichain search in the
+    module docstring."""
+    moves, final1 = n1
+    alphabet = {ch for row in moves for ch, _ in row}
+    masks = _successor_masks(n2, alphabet)
     # images[ch][S] memoises the step of the subset S on ch.
-    images: dict[str, dict[int, int]] = {ch: {} for ch in n1.alphabet}
-    moves, final1 = _moves(n1)
-    start = (n1.initial, 1 << n2.initial)
+    images: dict[str, dict[int, int]] = {ch: {} for ch in alphabet}
+    start = (0, 1 << n2.initial)
     parents: dict[tuple[int, int], tuple[tuple[int, int], str]] = {}
 
     def missing(node: tuple[int, int]) -> bool:
@@ -119,19 +124,18 @@ def _missing_word(n1: Nfa, n2: Nfa, budget: SearchBudget) -> str | None:
 
     if missing(start):
         return ""
-    sim = _simulation((moves, final1), n2, budget)
-    if start[1] & sim[n1.initial]:
+    sim = _simulation(n1, n2, budget)
+    if start[1] & sim[0]:
         return None
     # kept[q1]: the minimal masks reached with q1, an antichain.
-    kept: list[list[int]] = [[] for _ in range(n1.n_states)]
-    kept[n1.initial].append(start[1])
+    kept: list[list[int]] = [[] for _ in moves]
+    kept[0].append(start[1])
     queue = [start]
     pos = 0
     while pos < len(queue):
         node = queue[pos]
         pos += 1
-        if not pos % TICK_BATCH:
-            budget.tick(TICK_BATCH)
+        budget.tick()
         q1, subset = node
         for ch, targets in moves[q1]:
             memo = images[ch]
@@ -149,17 +153,16 @@ def _missing_word(n1: Nfa, n2: Nfa, budget: SearchBudget) -> str | None:
                 nxt = (t1, image)
                 parents[nxt] = (node, ch)
                 if missing(nxt):
-                    budget.tick(pos % TICK_BATCH)
                     return word_to(nxt)
                 queue.append(nxt)
-    budget.tick(pos % TICK_BATCH)
     return None
 
 
-def _moves(nfa: Nfa) -> tuple[list[list[tuple[str, list[int]]]], set[int]]:
+def _moves(nfa: Nfa) -> _Moves:
     """moves[q]: (symbol, successors of q on it, ascending) for each
     symbol q moves on, in sorted order; and the set of accepting states.
-    Built once per search, so no node reads a mask as wide as the NFA."""
+    Built once per search, so no node reads a mask as wide as the NFA.
+    compile_nfa's state 0 is initial."""
     # One target, the common case, is read off without copying its mask.
     moves = [[(ch, [t.bit_length() - 1] if t.bit_count() == 1
                else list(_bits(t))) for ch, t in sorted(row.items())]
@@ -167,8 +170,7 @@ def _moves(nfa: Nfa) -> tuple[list[list[tuple[str, list[int]]]], set[int]]:
     return moves, set(_bits(nfa.accepting))
 
 
-def _simulation(n1: tuple[list[list[tuple[str, list[int]]]], set[int]],
-                n2: Nfa, budget: SearchBudget) -> list[int]:
+def _simulation(n1: _Moves, n2: Nfa, budget: SearchBudget) -> list[int]:
     """sim[q1]: the bitmask of the n2 states that simulate q1, n1 given
     as its _moves.
 
@@ -238,50 +240,47 @@ def concat_inclusion(bs: Sequence[RegexAst], a: RegexAst,
     return InclusionReport(counterexample is None, counterexample)
 
 
-def _chain(parts: Sequence[Nfa], budget: SearchBudget) -> Nfa:
-    """One epsilon-free NFA for the concatenation of the parts.
+def _chain(parts: Sequence[Nfa], budget: SearchBudget) -> _Moves:
+    """The _moves of one epsilon-free NFA for the concatenation of the
+    parts, state 0 initial.
 
-    Each part's states are offset past the parts before it. Working
-    right to left, every accepting state of part i gains the moves that
-    start the rest of the chain: the initial-state moves of part i + 1,
-    which already include those of the parts after it where part i + 1
+    Each part's states are offset past the parts before it, by adding
+    the offset to each entry of its target lists. Working right to
+    left, every accepting state of part i gains the moves that start the
+    rest of the chain: the initial-state moves of part i + 1, which
+    already include those of the parts after it where part i + 1
     accepts the empty word. It stays accepting iff the rest of the
     chain accepts the empty word. A run of factors that accept the
     empty word makes the copies quadratic in its length, so the budget
     is ticked once per move copied.
     """
-    if len(parts) == 1:
-        return parts[0]
     base = sum(part.n_states for part in parts)
-    trans: list[dict[str, int]] = [{}] * base
-    accepting = 0
+    moves: list[list[tuple[str, list[int]]]] = [[]] * base
+    final: set[int] = set()
     # entry: the moves that start the rest of the chain; rest_nullable:
     # whether the rest accepts the empty word.
-    entry: dict[str, int] = {}
-    moves = 0
+    entry: list[tuple[str, list[int]]] = []
     rest_nullable = True
     for part in reversed(parts):
         base -= part.n_states
-        final = set(_bits(part.accepting))
-        for q, row in enumerate(part.trans):
-            row = trans[base + q] = {ch: targets << base
-                                     for ch, targets in row.items()}
-            if q in final:
-                budget.tick(moves)
-                for ch, targets in entry.items():
-                    row[ch] = row.get(ch, 0) | targets
+        part_moves, part_final = _moves(part)
+        copies = sum(len(targets) for _, targets in entry)
+        for q, row in enumerate(part_moves):
+            row = [(ch, [t + base for t in targets]) for ch, targets in row]
+            if q in part_final:
+                budget.tick(copies)
+                # The rest of the chain lies past this part, so its
+                # targets follow this state's own in ascending order.
+                merged = dict(row)
+                for ch, targets in entry:
+                    merged[ch] = merged.get(ch, []) + targets
+                row = sorted(merged.items())
                 if rest_nullable:
-                    accepting |= 1 << base + q
-        entry = trans[base + part.initial]
-        moves = sum(targets.bit_count() for targets in entry.values())
-        rest_nullable = part.initial in final and rest_nullable
-    return Nfa(
-        n_states=len(trans),
-        initial=parts[0].initial,
-        accepting=accepting,
-        trans=tuple(trans),
-        alphabet=tuple(sorted({ch for part in parts for ch in part.alphabet})),
-    )
+                    final.add(base + q)
+            moves[base + q] = row
+        entry = moves[base]
+        rest_nullable = 0 in part_final and rest_nullable
+    return moves, final
 
 
 def truncated_words(b: RegexAst, bound: int, cap: int = DEFAULT_WORD_CAP) -> frozenset[str]:

@@ -44,17 +44,26 @@ class NHomomorphism:
 
     @classmethod
     def from_json(cls, doc: Mapping[str, Any]) -> "NHomomorphism":
+        """Read a certificate in the form to_json writes: map takes
+        strings to strings, each witness key is the decimal form of a
+        non-negative int, and each witness is a list of ints. Anything
+        else raises PreconditionError; nothing is coerced."""
         if not isinstance(doc, Mapping) or "map" not in doc or "witnesses" not in doc:
             raise PreconditionError("certificate must have 'map' and 'witnesses'")
-        if not isinstance(doc["map"], Mapping) or not isinstance(doc["witnesses"], Mapping):
+        mapping, witnesses = doc["map"], doc["witnesses"]
+        if not isinstance(mapping, Mapping) or not isinstance(witnesses, Mapping):
             raise PreconditionError("'map' and 'witnesses' must be objects")
-        try:
-            mapping = {str(k): str(v) for k, v in doc["map"].items()}
-            witnesses = {int(k): tuple(int(a) for a in v)
-                         for k, v in doc["witnesses"].items()}
-        except (TypeError, ValueError) as exc:
-            raise PreconditionError(f"malformed certificate: {exc}") from exc
-        return cls(mapping=mapping, witnesses=witnesses)
+        if not all(type(k) is str and type(v) is str for k, v in mapping.items()):
+            raise PreconditionError("'map' must take strings to strings")
+        walks = {}
+        for key, walk in witnesses.items():
+            if not (type(key) is str and key.isdecimal() and key == str(int(key))):
+                raise PreconditionError(f"witness key {key!r} is not an arc index")
+            # bool is a subclass of int, so the type is compared exactly.
+            if type(walk) is not list or any(type(a) is not int for a in walk):
+                raise PreconditionError(f"witness {key} is not a list of ints")
+            walks[int(key)] = tuple(walk)
+        return cls(mapping=dict(mapping), witnesses=walks)
 
 
 def label_relations(

@@ -50,10 +50,10 @@ and cuts the nodes actually reached.
   index, and memoises it; only the arcs of a final map need one.
 
 Every search ticks the budget of the call that runs it once per
-product node, in batches: an image search once per (mask, NFA state)
-pair, the walk passes once per node (A, v). The label and arc-label
-NFAs come from the bounded cache of languages, and the relation cache
-keeps the latest 1024 relations.
+product node: an image search once per (mask, NFA state) pair, the
+walk passes once per node (A, v). The label and arc-label NFAs come
+from the bounded cache of languages, and the relation cache keeps the
+latest 1024 relations.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 
 from .automata import _step, _successor_masks, determinize
 from .csp import Rows, _bits
-from .errors import TICK_BATCH, PreconditionError, SearchBudget
+from .errors import PreconditionError, SearchBudget
 from .languages import _compiled, _moves
 from .regexes import RegexAst
 from .rgp import Rgp
@@ -98,8 +98,7 @@ def _condense(starts: Iterable[int],
             if nxt >= 0:
                 depth = len(stack)
                 low[nxt] = depth
-                if not len(low) % TICK_BATCH:
-                    budget.tick(TICK_BATCH)
+                budget.tick()
                 out = succ[nxt] = successors(nxt)
                 stack.append(nxt)
                 work.append((nxt, depth, iter(out)))
@@ -126,7 +125,6 @@ def _condense(starts: Iterable[int],
                         break
                 elif low[node] < low[work[-1][0]]:
                     low[work[-1][0]] = low[node]
-    budget.tick(len(low) % TICK_BATCH)
     return components, comp, succ
 
 
@@ -212,8 +210,7 @@ class _Engine:
         while pos < len(queue):
             subset, b = queue[pos]
             pos += 1
-            if not pos % TICK_BATCH:
-                budget.tick(TICK_BATCH)
+            budget.tick()
             for ch, targets in moves[b]:
                 image = _step(subset, masks[ch])
                 for b2 in targets:
@@ -223,10 +220,8 @@ class _Engine:
                     kept[b2] = [m for m in antichain if image & ~m]
                     kept[b2].append(image)
                     if not image and b2 in accepting:
-                        budget.tick(pos % TICK_BATCH)
                         return None
                     queue.append((image, b2))
-        budget.tick(pos % TICK_BATCH)
         return _minimal([m for b in accepting for m in kept[b]])
 
     def step(self, label_id: int, antichain: int,
@@ -312,8 +307,7 @@ class _Engine:
         while pos < len(queue):
             node = queue[pos]
             pos += 1
-            if not pos % TICK_BATCH:
-                budget.tick(TICK_BATCH)
+            budget.tick()
             antichain, v = divmod(node, n) if node >= 0 else (0, source)
             for arc_index, dst, label in self.out[v]:
                 image = self.step(label, antichain, budget)
@@ -322,10 +316,8 @@ class _Engine:
                     continue
                 parents[nxt] = (node, arc_index)
                 if dst == target and not rejecting[image]:
-                    budget.tick(pos % TICK_BATCH)
                     return self._walk_to(parents, nxt)
                 queue.append(nxt)
-        budget.tick(pos % TICK_BATCH)
         return None
 
     @staticmethod

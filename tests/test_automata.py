@@ -12,6 +12,7 @@ from rgphom.csp import _bits
 from rgphom.errors import BudgetExceededError, RegexParseError, SearchBudget
 from rgphom.languages import _chain
 from rgphom.regexes import Star, Sym, node_count, parse_regex, plus
+from rgphom.rgp import _reach
 from rgphom.testkit import random_regex
 
 from helpers import (
@@ -162,9 +163,10 @@ def test_position_automata_are_trim():
     # The walk engine takes a set of states that no word leads to
     # acceptance to be the empty set, which holds because every state
     # of compile_nfa(e) reaches an accepting one. Every state is also
-    # reachable. A chain of compiled parts reaches acceptance from every
-    # state too; there, the initial states of the later parts, which no
-    # move enters, are the only unreachable ones.
+    # reachable. A chain of compiled parts, read off its move lists,
+    # reaches acceptance from every state too; there, the initial states
+    # of the later parts, which no move enters, are the only unreachable
+    # ones.
     rng = random.Random(2206)
     for k in range(3000):
         alpha = ("a", "ab", "abc")[k % 3]
@@ -176,15 +178,20 @@ def test_position_automata_are_trim():
         alpha = ("a", "ab", "abc")[k % 3]
         parts = [compile_nfa(random_regex(rng, rng.randint(1, 8), alpha))
                  for _ in range(rng.randint(2, 4))]
-        chain = _chain(parts, SearchBudget())
-        everything = (1 << chain.n_states) - 1
-        assert prefix_closure(chain).accepting == everything
-        later_initials = 0
+        moves, final = _chain(parts, SearchBudget())
+        forward = [[t for _, targets in row for t in targets] for row in moves]
+        backward = [[] for _ in moves]
+        for q, targets in enumerate(forward):
+            for t in targets:
+                backward[t].append(q)
+        everything = set(range(len(moves)))
+        assert _reach(backward, final) == everything
+        later_initials = set()
         base = 0
         for part in parts[:-1]:
             base += part.n_states
-            later_initials |= 1 << base
-        assert _reachable(chain) == everything & ~later_initials
+            later_initials.add(base)
+        assert _reach(forward, [0]) == everything - later_initials
 
 
 @settings(deadline=None)

@@ -5,6 +5,8 @@ Each entry of CASES runs one function on an instance where a default
 budget records more than one node; the function must then raise
 BudgetExceededError under SearchBudget(max_nodes=1).  A second test
 lists the functions with inspect and fails when the table misses one.
+A third runs the public functions on the solve routes that take no
+budget on a large input, where a quadratic pass would take minutes.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import importlib
 import inspect
 import pkgutil
 import random
+import time
 
 import pytest
 
@@ -23,18 +26,25 @@ from rgphom.errors import BudgetExceededError, SearchBudget
 from rgphom.languages import concat_inclusion, language_inclusion, universality
 from rgphom.nhom import is_n_core, label_relations, n_hom, verify_n_hom
 from rgphom.regexes import parse_regex
+from rgphom.rgp import (
+    LabelKind, directed_path_order, is_connected, is_undirected, label_class,
+    make_rgp,
+)
 from rgphom.solver import solve
 from rgphom.unary import (
     SchedulingInstance,
     audit_undirected_ncore,
     classify_undirected_template,
+    collapse_levels,
     d_of_q,
     hom_two_labeled,
     path_consistency_solve,
+    prune_plus_arcs,
     reduce_to_hom,
     solve_path_template,
     solve_scheduling,
     solve_undirected,
+    to_scheduling,
 )
 from rgphom.walks import (
     clear_relation_cache, find_walk, relation_for_label, walk_length_bound,
@@ -130,3 +140,34 @@ def test_the_table_lists_every_budgeted_function():
                 if param is not None and "SearchBudget" in str(param.annotation):
                     budgeted.add(obj)
     assert budgeted == set(CASES)
+
+
+def test_the_unbudgeted_functions_take_a_large_input_in_seconds():
+    # An all-a directed path of 40 000 vertices, cut into 10-vertex
+    # components joined by a+ arcs, and an undirected a cycle as long.
+    # Each call takes well under a second today.
+    n = 40_000
+    names = [f"p{i}" for i in range(n)]
+    path = make_rgp("a", names, [
+        (u, v, "a+" if i % 10 == 9 else "a")
+        for i, (u, v) in enumerate(zip(names, names[1:]))])
+    ring = make_rgp("a", names, [
+        arc for u, v in zip(names, names[1:] + names[:1])
+        for arc in ((u, v, "a"), (v, u, "a"))])
+
+    def timed(fn, *args):
+        start = time.perf_counter()
+        result = fn(*args)
+        assert time.perf_counter() - start < 10, fn.__name__
+        return result
+
+    assert timed(label_class, path).kind is LabelKind.UNARY_A_APLUS
+    assert timed(directed_path_order, path) == tuple(names)
+    assert not timed(is_undirected, path)
+    assert timed(is_undirected, ring)
+    assert timed(is_connected, ring)
+    collapsed = timed(collapse_levels, path)
+    assert len(collapsed.rgp.vertices) == n
+    pruned = timed(prune_plus_arcs, collapsed)
+    assert len(pruned.arcs) == n - 1
+    assert len(timed(to_scheduling, pruned, n).jobs) == n // 10

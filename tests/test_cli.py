@@ -152,6 +152,30 @@ def test_verify_rejects_a_certificate_with_extra_keys(runner, extra):
     assert code == 1 and as_doc(out) == {"valid": False}
 
 
+@pytest.mark.parametrize("field, value", [
+    ("witnesses", {"0": "0"}),
+    ("witnesses", {"0": [0.7]}),
+    ("witnesses", {"0": [False]}),
+    ("witnesses", {"+0": [0]}),
+    ("map", {"q0": "q0", "q1": 5}),
+], ids=["string walk", "float index", "bool index", "signed key", "int vertex"])
+def test_verify_refuses_a_malformed_certificate(runner, capsys, field, value):
+    # Each would be coerced into a certificate that verifies.
+    save, run, tmp_path = runner
+    path = save("p.json", a_path(2))
+    cert = tmp_path / "cert.json"
+    run("nhom", path, path, "--certificate", str(cert))
+    assert run("verify", path, path, str(cert)) == (0, '{"valid": true}\n')
+    doc = json.loads(cert.read_text())
+    doc[field] = value
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["verify", path, path, str(cert)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_auto_routes_paths_to_the_scheduling_solver(runner):
     save, run, _ = runner
     p = save("p.json", a_path(2, prefix="p"))

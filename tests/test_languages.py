@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from rgphom.languages import (
     _moves, _simulation, concat_inclusion, language_inclusion, truncated_words,
     truncation_equivalence_check, universality,
 )
-from rgphom.regexes import parse_regex
+from rgphom.regexes import Sym, parse_regex, plus
 from rgphom.testkit import concat_ast, random_regex
 
 from helpers import (
@@ -158,6 +159,22 @@ def test_a_chain_of_nullable_factors_spends_the_budget():
     budget = SearchBudget()
     assert concat_inclusion(factors[:100], rx("a*"), budget).holds
     assert budget.nodes >= 100 * 99 // 2
+
+
+def test_a_chain_takes_memory_linear_in_its_moves():
+    # Each part's targets are offset entry by entry, not as masks as
+    # wide as the chain, so four times the parts take about four times
+    # the memory; masks shifted to their offsets took about seven.
+    def peak(n):
+        tracemalloc.start()
+        try:
+            assert concat_inclusion([Sym("a")] * n, plus(Sym("a"))).holds
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)
+    assert peak(8000) <= 5 * peak(2000)
 
 
 def test_concat_inclusion_examples():

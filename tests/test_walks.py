@@ -5,15 +5,16 @@ from itertools import product
 
 import pytest
 
-from rgphom.automata import compile_nfa
+from rgphom.automata import compile_nfa, determinize
 from rgphom.errors import BudgetExceededError, PreconditionError, SearchBudget
 from rgphom import walks
+from rgphom.languages import language_inclusion
 from rgphom.nhom import is_n_core
 from rgphom.regexes import parse_regex
 from rgphom.rgp import make_rgp, parse_rgp, walk_endpoints
 from rgphom.testkit import gadget_ncore
 from rgphom.walks import (
-    TICK_BATCH, _bits, _Engine, clear_relation_cache, find_walk,
+    _bits, _Engine, clear_relation_cache, find_walk,
     relation_for_label, walk_length_bound,
 )
 
@@ -247,24 +248,44 @@ def test_tiny_budget_stops_the_relation_and_the_witness_search():
     assert relation.witness("c0", "c29", SearchBudget(max_nodes=0)) == walk
 
 
-def test_batched_ticks_lose_no_node(monkeypatch):
-    # Far more than one batch of product nodes, and a remainder: batched
-    # ticks add up to exactly the ticks of one per node.
-    q, e = _cycle(60, ("a", "b")), rx("(a|b)*a(a|b)")
+def _relation_of_cycle(budget):
+    clear_relation_cache()
+    relation_for_label(_cycle(60, ("a", "b")), rx("(a|b)*a(a|b)"), budget)
 
-    def ticks():
-        clear_relation_cache()
-        budget = SearchBudget()
-        relation = relation_for_label(q, e, budget)
-        for u, v in sorted(relation.pairs):
-            if u == "c0":
-                relation.witness(u, v, budget)
-        return budget.nodes
 
-    batched = ticks()
-    monkeypatch.setattr(walks, "TICK_BATCH", 1)
-    assert ticks() == batched
-    assert batched > 2 * TICK_BATCH and batched % TICK_BATCH
+def _witness_on_cycle(budget):
+    clear_relation_cache()
+    relation = relation_for_label(_cycle(30), rx("(a|b)+"))
+    relation.witness("c0", "c29", budget)
+
+
+def _determinize_deep(budget):
+    determinize(compile_nfa(rx("(a|b)*a" + "(a|b)" * 9)), budget=budget)
+
+
+def _include_deep(budget):
+    language_inclusion(rx("(a|b)*a(a|b)(a|b)(a|b)(a|b)"),
+                       rx("(a|b)*b(a|b)(a|b)(a|b)(a|b)|b*"), budget)
+
+
+@pytest.mark.parametrize("search, total, max_nodes", [
+    (_relation_of_cycle, 114, 57),
+    (_relation_of_cycle, 114, 113),
+    (_witness_on_cycle, 29, 14),
+    (_determinize_deep, 1025, 300),
+    (_include_deep, 20, 10),
+])
+def test_a_search_stops_at_the_first_node_past_its_budget(
+        search, total, max_nodes):
+    # Each loop ticks once per node it expands, so a budget of k nodes
+    # raises on node k + 1, not at the end of a batch or of the search.
+    budget = SearchBudget()
+    search(budget)
+    assert budget.nodes == total
+    budget = SearchBudget(max_nodes=max_nodes)
+    with pytest.raises(BudgetExceededError):
+        search(budget)
+    assert budget.nodes == max_nodes + 1
 
 
 def test_label_images_spend_the_relation_budget():
