@@ -8,7 +8,10 @@ arc index.
 An arc is a named tuple (src, dst, label), so it hashes and compares in
 C and equals the plain tuple of its fields; keep the two apart in sets
 and dict keys. With one `Sym` per character (see regexes), comparing
-two loads of one graph database never leaves C.
+two loads of one graph database never leaves C. parse_rgp builds each
+arc with tuple.__new__(Arc, fields): the same object Arc(...) returns,
+made in C, without the Python-level __new__ that NamedTuple generates,
+which takes two to three times as long on every arc of every load.
 """
 
 from __future__ import annotations
@@ -144,7 +147,7 @@ def parse_rgp(doc: "str | Mapping") -> Rgp:
                 label = parsed[text] = parse_regex(text, alpha)
             except ValueError as exc:
                 raise RgpSchemaError(f"arc {i} label: {exc}") from exc
-        arcs.append(Arc(src, dst, label))
+        arcs.append(tuple.__new__(Arc, (src, dst, label)))
     return Rgp(alpha, tuple(vertices), tuple(arcs))
 
 

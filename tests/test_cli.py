@@ -15,7 +15,8 @@ import rgphom
 from rgphom.cli import ENV_BUDGET, main
 from rgphom.nhom import NHomomorphism, verify_n_hom
 from rgphom.regexes import parse_regex
-from rgphom.rgp import Rgp, make_rgp, serialize_rgp
+from rgphom.rgp import Rgp, make_rgp, parse_rgp, serialize_rgp
+from rgphom.solver import solve
 from rgphom.testkit import gadget_ncore, random_rgp
 
 from fixtures import a_path, chord_chain, plus_cycle, two_label_pair
@@ -71,6 +72,18 @@ def test_nhom_certificate_roundtrips_through_verify(runner):
     assert code == 0
     code, out = run("verify", path, path, str(cert))
     assert code == 0 and as_doc(out) == {"valid": True}
+
+
+def test_the_certificate_file_is_its_canonical_json_in_utf8(runner):
+    save, run, tmp_path = runner
+    p = make_rgp("a", ["\u00fc0", "\u00fc1"], [("\u00fc0", "\u00fc1", "a")])
+    path = save("p.json", p)
+    cert_path = tmp_path / "cert.json"
+    code, _ = run("nhom", path, path, "--certificate", str(cert_path))
+    assert code == 0
+    cert, _ = solve(p, p)
+    assert cert_path.read_bytes() == (
+        json.dumps(cert.to_json(), sort_keys=True) + "\n").encode()
 
 
 def test_verify_rejects_a_tampered_certificate(runner):
@@ -404,6 +417,72 @@ def test_unusable_inputs_exit_two(runner, tmp_path):
     assert code == 2
     code, _ = run("include", "a((", "a", "--alphabet", "a")
     assert code == 2
+
+
+_NOT_UTF8 = b"\xff"
+_BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("role", ["pattern", "target", "certificate"])
+@pytest.mark.parametrize("head, message", [
+    (_NOT_UTF8, "'utf-8' codec can't decode byte 0xff in position 0: "
+                "invalid start byte"),
+    (_BOM, "Unexpected UTF-8 BOM (decode using utf-8-sig): "
+           "line 1 column 1 (char 0)"),
+], ids=["0xff", "BOM"])
+def test_input_files_are_utf8_without_a_bom(runner, capsys, role, head,
+                                            message):
+    save, run, tmp_path = runner
+    path = save("p.json", a_path(2))
+    cert = tmp_path / "cert.json"
+    run("nhom", path, path, "--certificate", str(cert))
+    given = {"pattern": Path(path), "target": Path(path),
+             "certificate": cert}[role]
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(head + given.read_bytes())
+    argv = {"pattern": ["nhom", str(bad), path],
+            "target": ["nhom", path, str(bad)],
+            "certificate": ["verify", path, path, str(bad)]}[role]
+    capsys.readouterr()
+    code = main(argv)
+    out, err = capsys.readouterr()
+    if head == _BOM and role != "certificate":
+        message = "invalid JSON: " + message
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_input_newlines_are_translated_as_in_text_mode(runner, capsys):
+    save, run, tmp_path = runner
+    p = a_path(2)
+    good = tmp_path / "crlf.json"
+    good.write_bytes(json.dumps(serialize_rgp(p), indent=1)
+                     .replace("\n", "\r\n").encode())
+    code, out = run("nhom", str(good), str(good))
+    assert code == 0 and as_doc(out)["exists"] is True
+    # An error names the line and offset that a text-mode read sees.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{\r\n "alphabet": ["a"],\r "vertices": x}\r\n')
+    with pytest.raises(ValueError) as expected:
+        parse_rgp(bad.read_text())
+    assert "line 3" in str(expected.value)
+    code = main(["nhom", str(bad), str(good)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"error: {expected.value}\n")
+
+
+def test_file_names_mean_what_pathlib_makes_of_them(runner, capsys):
+    # As when the files were opened through Path: a trailing slash is
+    # dropped, and an error names the file without "./".
+    save, run, tmp_path = runner
+    path = save("p.json", a_path(2))
+    cert = tmp_path / "cert.json"
+    code, _ = run("nhom", path + "/", path, "--certificate", f"{cert}/")
+    assert code == 0 and cert.is_file()
+    code = main(["nhom", f"{tmp_path}/./missing.json", path])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == ("error: [Errno 2] No such file or directory: "
+                   f"'{tmp_path / 'missing.json'}'\n")
 
 
 def test_back_to_back_runs_share_no_state(runner):
