@@ -39,26 +39,16 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True))
 
 
-def _open(path: str, mode: str):
-    """open(path, mode), or else open the file under the name pathlib
-    gives it, as Path.read_text and Path.write_text did: "p.json/" still
-    names p.json, and an error names "./p.json" as "p.json". A Path is
-    built only on that second try; building one adds about two thirds
-    to the cost of reading a small file."""
-    try:
-        return open(path, mode)
-    except OSError:
-        return open(Path(path), mode)
-
-
 def _read_text(path: str) -> str:
     """The file as UTF-8 text, newlines translated as text mode does.
 
     A binary read and one decode skip the text-mode reader, which costs
     more than parsing a small pattern. A BOM is kept, so json.loads
-    rejects it.
+    rejects it. The file is opened through Path, as Path.read_text did,
+    so "p.json/" still reads p.json and an error names "./p.json" as
+    "p.json".
     """
-    with _open(path, "rb") as f:
+    with open(Path(path), "rb") as f:
         text = f.read().decode("utf-8")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -98,7 +88,7 @@ def _cmd_nhom(args: argparse.Namespace) -> int:
         _emit({"exists": False, "solver": route})
         return 1
     if args.certificate:
-        with _open(args.certificate, "wb") as f:
+        with open(Path(args.certificate), "wb") as f:
             f.write((json.dumps(cert.to_json(), sort_keys=True)
                      + "\n").encode())
     _emit({"exists": True, "solver": route, "map": cert.mapping})

@@ -471,8 +471,8 @@ def test_input_newlines_are_translated_as_in_text_mode(runner, capsys):
 
 
 def test_file_names_mean_what_pathlib_makes_of_them(runner, capsys):
-    # As when the files were opened through Path: a trailing slash is
-    # dropped, and an error names the file without "./".
+    # Files are opened through Path, as Path.read_text did: a trailing
+    # slash is dropped, and an error names the file without "./".
     save, run, tmp_path = runner
     path = save("p.json", a_path(2))
     cert = tmp_path / "cert.json"

@@ -165,10 +165,18 @@ def test_mapping_document_loads_like_its_dict():
 
 def test_arc_is_a_named_tuple():
     label = parse_regex("a+", "a")
+    arc = Arc("u", "v", label)
+    src, dst, got = arc
+    assert (src, dst, got) == ("u", "v", label)
+    assert arc == ("u", "v", label)
+    assert Arc(src="u", dst="v", label=label) == arc
     # parse_rgp builds its arcs with tuple.__new__, not Arc(...).
     loaded = parse_rgp(_doc(vertices=["u", "v"], arcs=[
         _GOOD_ARC, _arc(label="a+", to="u"), _arc(label="b*")])).arcs
-    for arc in (Arc("u", "v", label), *loaded):
+    assert [tuple(a) for a in loaded] == [
+        ("u", "v", parse_regex("a", "ab")), ("u", "u", parse_regex("a+", "ab")),
+        ("u", "v", parse_regex("b*", "ab"))]
+    for arc in (arc, *loaded):
         assert type(arc) is Arc
         src, dst, got = arc
         assert (arc.src, arc.dst, arc.label) == (src, dst, got)
