@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Any, Callable
 
 from .errors import (
     BudgetExceededError,
@@ -26,7 +27,7 @@ from .errors import (
 from .languages import language_inclusion, universality
 from .nhom import NHomomorphism, is_n_core, verify_n_hom
 from .regexes import parse_regex
-from .rgp import Rgp, export_dot, parse_rgp, serialize_rgp
+from .rgp import export_dot, parse_rgp, serialize_rgp
 from .solver import ROUTES, solve
 from .testkit import gadget_inclusion, gadget_ncore, gadget_universality
 from .unary import classify_undirected_template, d_of_q
@@ -39,24 +40,33 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True))
 
 
-def _read_text(path: str) -> str:
-    """The file as UTF-8 text, newlines translated as text mode does.
+def _load(path: str, parse: Callable[[Any], Any]) -> Any:
+    """parse applied to the JSON document in the file path.
 
-    A binary read and one decode skip the text-mode reader, which costs
-    more than parsing a small pattern. A BOM is kept, so json.loads
+    The file is UTF-8, and its newlines are translated as text mode
+    does. A binary read and one decode skip the text-mode reader, which
+    costs more than parsing a small pattern. A BOM is kept, so json.loads
     rejects it. The file is opened through Path, as Path.read_text did,
-    so "p.json/" still reads p.json and an error names "./p.json" as
-    "p.json".
+    so "p.json/" still reads p.json and an OSError names "./p.json" as
+    "p.json". A file that does not decode, is not JSON or is refused by
+    parse raises PreconditionError "<path as given>: <reason>".
     """
     with open(Path(path), "rb") as f:
-        text = f.read().decode("utf-8")
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
-
-
-def _load_rgp(path: str) -> Rgp:
-    return parse_rgp(_read_text(path))
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        doc = json.loads(text)
+        # parse_rgp would parse a JSON string a second time.
+        if not isinstance(doc, dict):
+            raise PreconditionError("document must be a JSON object")
+        return parse(doc)
+    except json.JSONDecodeError as exc:
+        reason = f"invalid JSON: {exc}"
+    except ValueError as exc:
+        reason = str(exc)
+    raise PreconditionError(f"{path}: {reason}")
 
 
 def _budget(args: argparse.Namespace) -> SearchBudget:
@@ -81,8 +91,8 @@ def _budget(args: argparse.Namespace) -> SearchBudget:
 
 
 def _cmd_nhom(args: argparse.Namespace) -> int:
-    p = _load_rgp(args.pattern)
-    q = _load_rgp(args.target)
+    p = _load(args.pattern, parse_rgp)
+    q = _load(args.target, parse_rgp)
     cert, route = solve(p, q, args.solver, _budget(args))
     if cert is None:
         _emit({"exists": False, "solver": route})
@@ -96,7 +106,7 @@ def _cmd_nhom(args: argparse.Namespace) -> int:
 
 
 def _cmd_core(args: argparse.Namespace) -> int:
-    p = _load_rgp(args.pattern)
+    p = _load(args.pattern, parse_rgp)
     verdict = is_n_core(p, _budget(args))
     if verdict.is_core:
         _emit({"core": True})
@@ -133,7 +143,7 @@ def _cmd_universal(args: argparse.Namespace) -> int:
 
 
 def _cmd_dq(args: argparse.Namespace) -> int:
-    d = d_of_q(_load_rgp(args.target), _budget(args))
+    d = d_of_q(_load(args.target, parse_rgp), _budget(args))
     if args.format == "dot":
         print(d.to_dot())
     else:
@@ -142,7 +152,7 @@ def _cmd_dq(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    template = classify_undirected_template(_load_rgp(args.target),
+    template = classify_undirected_template(_load(args.target, parse_rgp),
                                             budget=_budget(args))
     doc: dict = {"kind": template.kind.value}
     if template.odd_cycle is not None:
@@ -183,7 +193,7 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
 
 
 def _cmd_walk(args: argparse.Namespace) -> int:
-    q = _load_rgp(args.target)
+    q = _load(args.target, parse_rgp)
     e = parse_regex(args.expr, q.alphabet)
     walk = find_walk(q, args.source, args.sink, e, _budget(args))
     if walk is None:
@@ -195,9 +205,9 @@ def _cmd_walk(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    p = _load_rgp(args.pattern)
-    q = _load_rgp(args.target)
-    cert = NHomomorphism.from_json(json.loads(_read_text(args.cert)))
+    p = _load(args.pattern, parse_rgp)
+    q = _load(args.target, parse_rgp)
+    cert = _load(args.cert, NHomomorphism.from_json)
     if verify_n_hom(p, q, cert, _budget(args)):
         _emit({"valid": True})
         return 0

@@ -4,10 +4,12 @@ Used by the homomorphism solvers: variables are pattern vertices,
 values are target vertices, and each constraint gives the allowed value
 pairs for an ordered variable pair.
 
-Values are bit positions in one value list, the sorted union of all
-domains, so each domain is an int mask. Each constraint is held as row
-masks plus their transpose (Rows): bit b of rows[a] is set when the
-pair (a, b) is allowed. Callers that already hold such rows, like the
+A network is a list of variables, the caller's list of values, and
+constraints (x, y, Rows). Values are bit positions in that list, so
+each domain is an int mask, all of the values unless the caller passes
+its own masks. Each constraint is held as row masks plus their
+transpose (Rows): bit b of rows[a] is set when the pair (values[a],
+values[b]) is allowed. Callers that already hold such rows, like the
 walk engine's relations, pass them directly; pair_rows builds them for
 callers that hold only value pairs.
 
@@ -36,9 +38,10 @@ arc-consistent fixpoint, propagating from it would change nothing, so
 it takes no frame, no tick and no propagation of its own. The search,
 a loop over an explicit stack, then picks the most constrained
 variable (fewest values, ties by variable order) and tries its values
-from the lowest bit up, which is sorted order. _propagate records the
-old mask of every domain it narrows on a trail, and backtracking pops
-the trail back to the frame's mark, so no frame copies the domain
+from the lowest bit up, which is the order of the value list. Callers
+pass it sorted, so values are tried in sorted order. _propagate records
+the old mask of every domain it narrows on a trail, and backtracking
+pops the trail back to the frame's mark, so no frame copies the domain
 list and memory grows with the domains narrowed, not with depth times
 variables. Results are therefore deterministic. The budget ticks once
 per revision and once per value tried at a choice.
@@ -47,11 +50,10 @@ per revision and once per value tried at a choice.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Collection, Hashable, Iterable, Iterator, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
-from typing import NamedTuple
 
 from .errors import SearchBudget
 
@@ -99,17 +101,6 @@ class Rows:
         return sum(1 << a for a, row in enumerate(self.rows) if row >> a & 1)
 
 
-class Constraint(NamedTuple):
-    """The value pairs allowed for the ordered variable pair (x, y):
-    either a collection of value pairs, or Rows over the network's value
-    list, the sorted union of all domains. A plain (x, y, allowed)
-    tuple does as well."""
-
-    x: str
-    y: str
-    allowed: Collection[tuple[Value, Value]] | Rows
-
-
 def pair_rows(pairs: Iterable[tuple[Value, Value]],
               values: Sequence[Value]) -> Rows:
     """The Rows of a set of value pairs over a value list; pairs with a
@@ -125,41 +116,27 @@ def pair_rows(pairs: Iterable[tuple[Value, Value]],
 
 def solve_csp(
     variables: Sequence[str],
-    domains: dict[str, Sequence[Value]],
-    constraints: Iterable[Constraint],
+    values: Sequence[Value],
+    constraints: Iterable[tuple[str, str, Rows]],
     budget: SearchBudget,
+    dom: Sequence[int] | None = None,
 ) -> dict[str, Value] | None:
-    return next(iter_csp_solutions(variables, domains, constraints, budget), None)
+    return next(iter_csp_solutions(variables, values, constraints, budget,
+                                   dom), None)
 
 
 def iter_csp_solutions(
     variables: Sequence[str],
-    domains: dict[str, Sequence[Value]],
-    constraints: Iterable[Constraint],
+    values: Sequence[Value],
+    constraints: Iterable[tuple[str, str, Rows]],
     budget: SearchBudget,
+    dom: Sequence[int] | None = None,
 ) -> Iterator[dict[str, Value]]:
-    """Yield every solution, in deterministic order."""
-    # Callers often pass one domain object for many variables, so each
-    # distinct object is read once, and a domain that holds every value
-    # is the full mask with no index built.
-    distinct = {id(domains[v]): domains[v] for v in variables}
-    sets = [set(domain) for domain in distinct.values()]
-    values = sorted(set().union(*sets))
-    index: dict[Value, int] | None = None
-    masks = {}
-    for key, domain in zip(distinct, sets):
-        if len(domain) == len(values):
-            masks[key] = (1 << len(values)) - 1
-        else:
-            index = index or {value: i for i, value in enumerate(values)}
-            masks[key] = sum(1 << index[value] for value in domain)
-    dom = [masks[id(domains[v])] for v in variables]
-    var = {v: i for i, v in enumerate(variables)}
-    support = _network(var, values, dom, constraints)
-    if not all(dom) or not _propagate(dom, support, range(len(dom)), budget,
-                                      []):
-        return
-    yield from _search(dom, support, variables, values, budget)
+    """Yield every solution, in deterministic order. dom holds one mask
+    of values per variable, all of them when it is None."""
+    root = _root(variables, values, constraints, budget, dom)
+    if root is not None:
+        yield from _search(*root, variables, values, budget)
 
 
 # support[x] lists the arcs (y, cols, rows, reach, coreach) along which a
@@ -169,19 +146,33 @@ def iter_csp_solutions(
 _Arc = tuple[int, Sequence[int], Sequence[int], int, int]
 
 
-def _network(var: dict[str, int], values: Sequence[Value], dom: list[int],
-             constraints: Iterable[Constraint]) -> list[list[_Arc]]:
+def _root(variables: Sequence[str], values: Sequence[Value],
+          constraints: Iterable[tuple[str, str, Rows]], budget: SearchBudget,
+          dom: Sequence[int] | None = None,
+          ) -> tuple[list[int], list[list[_Arc]]] | None:
+    """The arc-consistent domains of a network, from dom or all of the
+    values, with its support lists; None when a domain empties."""
+    full = (1 << len(values)) - 1
+    dom = [full] * len(variables) if dom is None else list(dom)
+    var = {v: i for i, v in enumerate(variables)}
+    support = _network(var, len(values), dom, constraints)
+    if not all(dom) or not _propagate(dom, support, range(len(dom)), budget,
+                                      []):
+        return None
+    return dom, support
+
+
+def _network(var: dict[str, int], size: int, dom: list[int],
+             constraints: Iterable[tuple[str, str, Rows]]) -> list[list[_Arc]]:
     """The support lists of the constraints over variables numbered by
-    var and the value list values; a constraint on one variable narrows
-    its domain in dom instead."""
+    var and a value list of the given size; a constraint on one variable
+    narrows its domain in dom instead."""
     support: list[list[_Arc]] = [[] for _ in dom]
     # Each relation kept on the unordered pair i < j, oriented from i.
     stored: set[tuple[int, int, tuple[int, ...]]] = set()
     for x, y, allowed in constraints:
-        if not isinstance(allowed, Rows):
-            allowed = pair_rows(allowed, values)
-        elif len(allowed.rows) != len(values):
-            raise ValueError("Rows must cover the sorted union of the domains")
+        if len(allowed.rows) != size:
+            raise ValueError("Rows must cover the network's value list")
         i, j = var[x], var[y]
         if i == j:
             dom[i] &= allowed.loops

@@ -95,13 +95,11 @@ def n_hom(
     relations = label_relations(p, q, budget)
     arc_relations = [relations[label] for _, _, label in p.arcs]
 
-    # Every domain is all of q, so the CSP's values are the relations'
-    # names, and each relation goes in as the Rows it is.
-    domain = sorted(q.vertices)
-    domains = dict.fromkeys(p.vertices, domain)
+    # The CSP's values are the relations' names, every domain is all of
+    # them, and each relation goes in as the Rows it is.
     constraints = [(src, dst, relation) for (src, dst, _), relation
                    in zip(p.arcs, arc_relations)]
-    mapping = solve_csp(p.vertices, domains, constraints, budget)
+    mapping = solve_csp(p.vertices, sorted(q.vertices), constraints, budget)
     if mapping is None:
         return None
     witnesses = witness_walks(p, mapping, arc_relations, budget)

@@ -10,9 +10,9 @@ The module covers four layers:
   names the class of core(Q) and a retract of Q in it, and serves the
   undirected route (solve_undirected), which maps onto that retract,
   and the dichotomy classifier; plus the core audit;
-* the simplification pipeline for directed-path targets whose arcs are
-  all 'a' (collapse_levels, prune_plus_arcs) and its reformulation as
-  a scheduling feasibility problem solved by shortest paths;
+* directed-path targets whose arcs are all 'a': the level collapse
+  (collapse_levels) and its reformulation as a scheduling feasibility
+  problem solved by shortest paths, which needs no pruning first;
 * the route for mixed {a, a+} path targets (path_consistency_solve):
   a greedy arc-consistency probe, exact because both relations of
   d_of_q are min-closed in path order, with a (2,3)-consistency
@@ -28,8 +28,8 @@ from collections import Counter, deque
 from enum import Enum
 from typing import Any, Iterable, Mapping, Sequence
 
-from .csp import (_bits, _network, _propagate, _transpose, iter_csp_solutions,
-                  pair_rows, solve_csp)
+from .csp import (Rows, _bits, _propagate, _root, _transpose,
+                  iter_csp_solutions, pair_rows, solve_csp)
 from .errors import (
     NotAcyclicError,
     NotBalancedError,
@@ -167,17 +167,24 @@ def hom_two_labeled(
 ) -> dict[str, str] | None:
     """Label-preserving digraph homomorphism g -> h, or None."""
     budget = budget or SearchBudget()
-    if not g.vertices:
-        return {}
-    if not h.vertices:
-        return None
-    domain = sorted(h.vertices)
-    domains = {v: domain for v in g.vertices}
-    a_rows = pair_rows(h.a_arcs, domain)
-    t_rows = pair_rows(h.t_arcs, domain)
-    constraints = [(u, v, a_rows) for u, v in sorted(g.a_arcs)]
-    constraints += [(u, v, t_rows) for u, v in sorted(g.t_arcs)]
-    return solve_csp(g.vertices, domains, constraints, budget)
+    values, constraints = _arc_constraints(g, h)
+    return solve_csp(g.vertices, values, constraints, budget)
+
+
+def _arc_constraints(
+    g: TwoLabeledDigraph,
+    h: TwoLabeledDigraph,
+) -> tuple[list[str], list[tuple[str, str, Rows]]]:
+    """h's vertices in sorted order, and the constraints of g's 'a' arcs
+    and then its 't' arcs as Rows over them.  Each label's arcs come in
+    sorted order, so that propagation, and with it the budget's count,
+    is the same in every process."""
+    values = sorted(h.vertices)
+    constraints = []
+    for g_arcs, h_arcs in ((g.a_arcs, h.a_arcs), (g.t_arcs, h.t_arcs)):
+        rows = pair_rows(h_arcs, values)
+        constraints += [(x, y, rows) for x, y in sorted(g_arcs)]
+    return values, constraints
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +330,15 @@ def _non_bijective_endo(
 ) -> dict[str, str] | None:
     """An endomorphism of comp fixing the given vertices that is not a
     bijection, if one exists."""
-    domain = sorted(comp.vertices)
+    values = sorted(comp.vertices)
     pins = set(fixed)
-    domains = {v: [v] if v in pins else domain for v in comp.vertices}
-    rows = pair_rows(((a.src, a.dst) for a in comp.arcs), domain)
+    index = {v: i for i, v in enumerate(values)}
+    dom = [1 << index[v] if v in pins else (1 << len(values)) - 1
+           for v in comp.vertices]
+    rows = pair_rows(((a.src, a.dst) for a in comp.arcs), values)
     constraints = [(a.src, a.dst, rows) for a in comp.arcs]
-    for f in iter_csp_solutions(comp.vertices, domains, constraints, budget):
+    for f in iter_csp_solutions(comp.vertices, values, constraints, budget,
+                                dom):
         if len(set(f.values())) != len(comp.vertices):
             return f
     return None
@@ -521,7 +531,7 @@ def _close_walk(parent, v, w) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Directed-path targets, all arcs 'a': collapse, prune, schedule
+# Directed-path targets, all arcs 'a': collapse, schedule
 
 
 @dataclass(frozen=True)
@@ -691,13 +701,14 @@ class SchedulingInstance:
 
 
 def to_scheduling(p2: Rgp, n: int) -> SchedulingInstance:
-    """Translate a pruned pattern into job scheduling against an
+    """Translate a collapsed pattern into job scheduling against an
     n-vertex all-'a' path.
 
     One job per a-path component, with the component's arc count as
-    duration. The surviving a+ arc u_i -> v_j between two components
-    becomes the deadline t(C1) <= t(C2) + (j - i - 1): the walk needs
-    the source's image strictly before the target's.
+    duration. An a+ arc u_i -> v_j between two components becomes the
+    deadline t(C1) <= t(C2) + (j - i - 1): the walk needs the source's
+    image strictly before the target's. Of the deadlines between two
+    components only the tightest is kept.
     """
     if n < 1:
         raise PreconditionError("target path needs at least one vertex")
@@ -805,12 +816,12 @@ def solve_path_template(
 ) -> NHomomorphism | None:
     """Polynomial solver for directed-path targets.
 
-    All-'a' targets run collapse -> prune -> scheduling and rebuild the
-    map from start times (position k of job C lands on path vertex
-    t(C)+k-1). Mixed {a, a+} targets go through the two-labeled
-    reduction and path_consistency_solve. In either case each witness
-    walk is the stretch of the path between the images of its arc's
-    ends.
+    All-'a' targets run collapse -> scheduling, which keeps the tightest
+    a+ arc between two components, and rebuild the map from start times
+    (position k of job C lands on path vertex t(C)+k-1). Mixed {a, a+}
+    targets go through the two-labeled reduction and
+    path_consistency_solve. In either case each witness walk is the
+    stretch of the path between the images of its arc's ends.
     """
     order = directed_path_order(q)
     if order is None:
@@ -833,13 +844,11 @@ def solve_path_template(
         collapsed = collapse_levels(p)
     except (NotAcyclicError, NotBalancedError):
         return None
-    pruned = prune_plus_arcs(collapsed)
-    if pruned is None:
-        return None
-    result = solve_scheduling(to_scheduling(pruned, len(q.vertices)), budget)
+    result = solve_scheduling(to_scheduling(collapsed.rgp, len(q.vertices)),
+                              budget)
     if not result.feasible:
         return None
-    paths = _component_paths(pruned)
+    paths = _component_paths(collapsed.rgp)
     index: dict[str, int] = {}
     for path in paths:
         start = result.start_times[path[0]]
@@ -946,7 +955,7 @@ def path_consistency_solve(
 
     A greedy arc-consistency probe runs first.  Domains are bitmasks
     over h's vertices in sorted-name order, and the 'a' and 't' arcs of
-    g become bitset constraints, made arc consistent by csp._propagate.
+    g become bitset constraints, made arc consistent by csp._root.
     An empty domain there means there is no homomorphism.  Otherwise
     each vertex of g, in g.vertices order, takes the lowest value whose
     propagation empties no domain.  When every vertex gets one, the map
@@ -969,23 +978,11 @@ def path_consistency_solve(
     in the closure.
     """
     budget = budget or SearchBudget()
-    if not g.vertices:
-        return {}
-    if not h.vertices:
+    values, constraints = _arc_constraints(g, h)
+    root = _root(g.vertices, values, constraints, budget)
+    if root is None:
         return None
-    values = sorted(h.vertices)
-    var = {v: i for i, v in enumerate(g.vertices)}
-    dom = [(1 << len(values)) - 1] * len(g.vertices)
-    # Arcs in sorted order, so that propagation, and with it the
-    # budget's count, is the same in every process.
-    constraints = []
-    for g_arcs, h_arcs in ((g.a_arcs, h.a_arcs), (g.t_arcs, h.t_arcs)):
-        rows = pair_rows(h_arcs, values)
-        constraints += [(x, y, rows) for x, y in sorted(g_arcs)]
-    support = _network(var, values, dom, constraints)
-    if not all(dom) or not _propagate(dom, support, range(len(dom)), budget,
-                                      []):
-        return None
+    dom, support = root
     for x in range(len(dom)):
         rest = dom[x]
         if not rest & (rest - 1):
@@ -1001,7 +998,7 @@ def path_consistency_solve(
             for y, old in reversed(trail):
                 dom[y] = old
         else:
-            net = _PcNetwork(g, h)
+            net = _PcNetwork(g.vertices, values, constraints)
             if not net.close(budget):
                 return None
             return net.first_solution()
@@ -1012,9 +1009,9 @@ def path_consistency_solve(
 class _PcNetwork:
     """Domains and pairwise relations over bit-indexed template values.
 
-    Variables are g's vertices in g.vertices order; value i is the i-th
-    template vertex in sorted-name order.  dom[x] is a bitmask of
-    values; rel[x][y][u] is the bitmask of values w allowed for y when
+    Variables are names, in order, and value i is values[i]; each
+    constraint (x, y, Rows) is as the CSP takes it.  dom[x] is a bitmask
+    of values; rel[x][y][u] is the bitmask of values w allowed for y when
     x takes u, and rel[y][x] is always its transpose.  loose[x][y]
     records that rel[x][y] is the full product of the two domains.
     Composing through z with a loose rel[x][z] gives dom[x] times the
@@ -1022,29 +1019,26 @@ class _PcNetwork:
     (z, y) is closed, so it prunes nothing the domains do not.
     """
 
-    def __init__(self, g: TwoLabeledDigraph, h: TwoLabeledDigraph):
-        self.values = sorted(h.vertices)
-        d = len(self.values)
-        self.names = g.vertices
-        n = len(self.names)
-        var = {v: i for i, v in enumerate(self.names)}
+    def __init__(self, names: Sequence[str], values: Sequence[str],
+                 constraints: Iterable[tuple[str, str, Rows]]):
+        self.names, self.values = names, values
+        n, d = len(names), len(values)
+        var = {v: i for i, v in enumerate(names)}
         full = (1 << d) - 1
         self.dom = [full] * n
         self.rel: list[list[list[int]]] = [
             [[full] * d for _ in range(n)] for _ in range(n)]
         self.loose = [[True] * n for _ in range(n)]
-        for g_arcs, h_arcs in ((g.a_arcs, h.a_arcs), (g.t_arcs, h.t_arcs)):
-            masks = pair_rows(h_arcs, self.values)
+        for x, y, masks in constraints:
+            i, j = var[x], var[y]
+            if i == j:
+                self.dom[i] &= masks.loops
+                continue
             rows, cols = masks.rows, masks.cols
-            for x, y in g_arcs:
-                i, j = var[x], var[y]
-                if i == j:
-                    self.dom[i] &= masks.loops
-                    continue
-                for u in range(d):
-                    self.rel[i][j][u] &= rows[u]
-                    self.rel[j][i][u] &= cols[u]
-                self.loose[i][j] = self.loose[j][i] = False
+            for u in range(d):
+                self.rel[i][j][u] &= rows[u]
+                self.rel[j][i][u] &= cols[u]
+            self.loose[i][j] = self.loose[j][i] = False
 
     def close(self, budget: SearchBudget) -> bool:
         """Shrink the network to its greatest (2,3)-consistent

@@ -7,12 +7,15 @@ BudgetExceededError under SearchBudget(max_nodes=1).  A second test
 lists the functions with inspect and fails when the table misses one.
 A third runs the public functions on the solve routes that take no
 budget on a large input, where a quadratic pass would take minutes.
+The last two run out of time instead of nodes, on a clock that jumps.
 """
 
 from __future__ import annotations
 
 import importlib
 import inspect
+import itertools
+import json
 import pkgutil
 import random
 import time
@@ -20,15 +23,17 @@ import time
 import pytest
 
 import rgphom
+from rgphom import errors
 from rgphom.automata import compile_nfa, determinize
-from rgphom.csp import Constraint, iter_csp_solutions, solve_csp
+from rgphom.cli import main
+from rgphom.csp import iter_csp_solutions, pair_rows, solve_csp
 from rgphom.errors import BudgetExceededError, SearchBudget
 from rgphom.languages import concat_inclusion, language_inclusion, universality
 from rgphom.nhom import is_n_core, label_relations, n_hom, verify_n_hom
 from rgphom.regexes import parse_regex
 from rgphom.rgp import (
     LabelKind, directed_path_order, is_connected, is_undirected, label_class,
-    make_rgp,
+    make_rgp, serialize_rgp,
 )
 from rgphom.solver import solve
 from rgphom.unary import (
@@ -61,10 +66,10 @@ def rx(text, alphabet="ab"):
     return parse_regex(text, alphabet)
 
 
-TRIANGLE = [Constraint(x, y, frozenset((a, b) for a in "012" for b in "012"
-                                       if a != b))
+COLORS = list("012")
+TRIANGLE = [(x, y, pair_rows([(a, b) for a in COLORS for b in COLORS if a != b],
+                             COLORS))
             for x, y in (("x", "y"), ("y", "z"), ("x", "z"))]
-COLORS = {v: list("012") for v in "xyz"}
 K3 = undirected_template([("u", "v"), ("v", "w"), ("w", "u")])
 C4 = undirected_template([(f"d{i}", f"d{(i + 1) % 4}") for i in range(4)])
 C6 = undirected_template([(f"c{i}", f"c{(i + 1) % 6}") for i in range(6)])
@@ -171,3 +176,35 @@ def test_the_unbudgeted_functions_take_a_large_input_in_seconds():
     pruned = timed(prune_plus_arcs, collapsed)
     assert len(pruned.arcs) == n - 1
     assert len(timed(to_scheduling, pruned, n).jobs) == n // 10
+
+
+def _clock(monkeypatch, step: float) -> None:
+    """time.monotonic, as the budget reads it, advancing step seconds a
+    call from zero."""
+    now = itertools.count(0, step)
+    monkeypatch.setattr(errors.time, "monotonic", lambda: next(now))
+
+
+def test_n_hom_stops_when_its_seconds_run_out(monkeypatch):
+    clear_relation_cache()
+    _clock(monkeypatch, 1)
+    budget = SearchBudget(max_seconds=5)
+    with pytest.raises(BudgetExceededError, match="^search exceeded 5 seconds$"):
+        n_hom(CHORD, PATH, budget)
+    clear_relation_cache()
+
+
+def test_the_cli_exits_three_when_the_seconds_run_out(monkeypatch, capsys,
+                                                      tmp_path):
+    files = []
+    for name, rgp in (("p.json", CHORD), ("q.json", PATH)):
+        files.append(str(tmp_path / name))
+        (tmp_path / name).write_text(json.dumps(serialize_rgp(rgp)))
+    clear_relation_cache()
+    # Past the default 60 seconds at the first tick.
+    _clock(monkeypatch, 100)
+    code = main(["nhom", *files, "--solver", "general"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "error: search exceeded 60 seconds\n"
+    clear_relation_cache()

@@ -427,7 +427,7 @@ _BOM = b"\xef\xbb\xbf"
 @pytest.mark.parametrize("head, message", [
     (_NOT_UTF8, "'utf-8' codec can't decode byte 0xff in position 0: "
                 "invalid start byte"),
-    (_BOM, "Unexpected UTF-8 BOM (decode using utf-8-sig): "
+    (_BOM, "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
            "line 1 column 1 (char 0)"),
 ], ids=["0xff", "BOM"])
 def test_input_files_are_utf8_without_a_bom(runner, capsys, role, head,
@@ -446,9 +446,32 @@ def test_input_files_are_utf8_without_a_bom(runner, capsys, role, head,
     capsys.readouterr()
     code = main(argv)
     out, err = capsys.readouterr()
-    if head == _BOM and role != "certificate":
-        message = "invalid JSON: " + message
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    # The same line in every role, naming the file as it was given.
+    assert (code, out, err) == (2, "", f"error: {bad}: {message}\n")
+
+
+@pytest.mark.parametrize("role, text, reason", [
+    ("pattern", "{}", "missing required key 'alphabet'"),
+    ("target", "{}", "missing required key 'alphabet'"),
+    ("certificate", "{}", "certificate must have 'map' and 'witnesses'"),
+    # A pattern inside a JSON string is not read as one.
+    ("pattern", json.dumps(json.dumps(serialize_rgp(a_path(2)))),
+     "document must be a JSON object"),
+    ("certificate", "[]", "document must be a JSON object"),
+], ids=["pattern", "target", "certificate", "string", "list"])
+def test_a_schema_error_names_the_file_as_given(runner, capsys, monkeypatch,
+                                                role, text, reason):
+    save, _, tmp_path = runner
+    save("p.json", a_path(2))
+    (tmp_path / "bad.json").write_text(text)
+    monkeypatch.chdir(tmp_path)
+    argv = {"pattern": ["nhom", "./bad.json", "p.json"],
+            "target": ["nhom", "p.json", "./bad.json"],
+            "certificate": ["verify", "p.json", "p.json", "./bad.json"]}[role]
+    capsys.readouterr()
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"error: ./bad.json: {reason}\n")
 
 
 def test_input_newlines_are_translated_as_in_text_mode(runner, capsys):
@@ -467,7 +490,7 @@ def test_input_newlines_are_translated_as_in_text_mode(runner, capsys):
     assert "line 3" in str(expected.value)
     code = main(["nhom", str(bad), str(good)])
     out, err = capsys.readouterr()
-    assert (code, out, err) == (2, "", f"error: {expected.value}\n")
+    assert (code, out, err) == (2, "", f"error: {bad}: {expected.value}\n")
 
 
 def test_file_names_mean_what_pathlib_makes_of_them(runner, capsys):

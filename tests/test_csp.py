@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from rgphom import csp, unary
-from rgphom.csp import (Constraint, Rows, _network, _propagate, _transpose,
+from rgphom.csp import (Rows, _network, _propagate, _transpose,
                         iter_csp_solutions, pair_rows, solve_csp)
 from rgphom.errors import BudgetExceededError, SearchBudget
 from rgphom.nhom import label_relations, n_hom, verify_n_hom
@@ -20,44 +20,43 @@ from fixtures import planted_mixed_path
 from helpers import reference_csp, reference_propagate
 
 
-def edge(x, y, pairs):
-    return Constraint(x, y, frozenset(pairs))
+def network(values, *triples):
+    """Constraints (x, y, Rows) over values from (x, y, pairs) triples."""
+    return [(x, y, pair_rows(pairs, values)) for x, y, pairs in triples]
 
 
+COLORS = ["g", "r"]
+DIFF = [("g", "r"), ("r", "g")]
 K3 = [(a, b) for a in "012" for b in "012" if a != b]
 
 
-def brute_solutions(variables, domains, constraints):
+def brute_solutions(variables, values, triples):
     out = []
-    for combo in itertools.product(*(domains[v] for v in variables)):
+    for combo in itertools.product(values, repeat=len(variables)):
         assignment = dict(zip(variables, combo))
-        if all((assignment[c.x], assignment[c.y]) in c.allowed
-               for c in constraints):
+        if all((assignment[x], assignment[y]) in pairs
+               for x, y, pairs in triples):
             out.append(assignment)
     return out
 
 
 def test_path_two_coloring_found():
-    domains = {v: ["r", "g"] for v in "abc"}
-    diff = [("r", "g"), ("g", "r")]
-    sol = solve_csp("abc", domains, [edge("a", "b", diff), edge("b", "c", diff)],
-                    SearchBudget())
-    # values are tried in sorted order, so "g" leads
+    cs = network(COLORS, ("a", "b", DIFF), ("b", "c", DIFF))
+    sol = solve_csp("abc", COLORS, cs, SearchBudget())
+    # values are tried in the order of the value list, so "g" leads
     assert sol == {"a": "g", "b": "r", "c": "g"}
 
 
 def test_triangle_two_coloring_fails():
-    domains = {v: ["r", "g"] for v in "abc"}
-    diff = [("r", "g"), ("g", "r")]
-    cs = [edge("a", "b", diff), edge("b", "c", diff), edge("a", "c", diff)]
-    assert solve_csp("abc", domains, cs, SearchBudget()) is None
+    cs = network(COLORS, ("a", "b", DIFF), ("b", "c", DIFF), ("a", "c", DIFF))
+    assert solve_csp("abc", COLORS, cs, SearchBudget()) is None
 
 
 def test_all_solutions_match_brute_force():
-    domains = {v: list("012") for v in "xyz"}
-    cs = [edge("x", "y", K3), edge("y", "z", K3), edge("x", "z", K3)]
-    got = list(iter_csp_solutions("xyz", domains, cs, SearchBudget()))
-    expected = brute_solutions("xyz", domains, cs)
+    triples = [("x", "y", K3), ("y", "z", K3), ("x", "z", K3)]
+    got = list(iter_csp_solutions("xyz", list("012"),
+                                  network("012", *triples), SearchBudget()))
+    expected = brute_solutions("xyz", "012", triples)
     assert len(got) == 6
     assert sorted(map(sorted, (g.items() for g in got))) == \
         sorted(map(sorted, (e.items() for e in expected)))
@@ -65,61 +64,54 @@ def test_all_solutions_match_brute_force():
 
 def test_loop_constraint_filters_domain():
     # A constraint on (v, v) only keeps values paired with themselves.
-    cs = [edge("v", "v", [("1", "1"), ("2", "3")])]
-    sol = solve_csp(["v"], {"v": list("123")}, cs, SearchBudget())
+    cs = network("123", ("v", "v", [("1", "1"), ("2", "3")]))
+    sol = solve_csp(["v"], list("123"), cs, SearchBudget())
     assert sol == {"v": "1"}
 
 
 def test_unsatisfiable_loop_is_none():
-    cs = [edge("v", "v", [("1", "2")])]
-    assert solve_csp(["v"], {"v": list("12")}, cs, SearchBudget()) is None
+    cs = network("12", ("v", "v", [("1", "2")]))
+    assert solve_csp(["v"], list("12"), cs, SearchBudget()) is None
 
 
 def test_empty_variable_list_yields_empty_assignment():
-    assert solve_csp([], {}, [], SearchBudget()) == {}
+    assert solve_csp([], [], [], SearchBudget()) == {}
 
 
 def test_empty_domain_is_unsatisfiable():
-    assert solve_csp(["v"], {"v": []}, [], SearchBudget()) is None
-
-
-def test_duplicate_domain_values_do_not_duplicate_solutions():
-    got = list(iter_csp_solutions(["v"], {"v": ["1", "1", "2"]}, [],
-                                  SearchBudget()))
-    assert got == [{"v": "1"}, {"v": "2"}]
+    assert solve_csp(["v"], ["1", "2"], [], SearchBudget(), [0]) is None
+    assert solve_csp(["v"], [], [], SearchBudget()) is None
 
 
 def test_deterministic_solution_order():
-    domains = {v: list("01") for v in "ab"}
-    runs = [list(iter_csp_solutions("ab", domains, [], SearchBudget()))
+    runs = [list(iter_csp_solutions("ab", list("01"), [], SearchBudget()))
             for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
     assert runs[0][0] == {"a": "0", "b": "0"}
 
 
 def test_budget_exhaustion_raises():
-    domains = {v: list("0123") for v in "abcd"}
-    cs = [edge(x, y, [(a, b) for a in "0123" for b in "0123" if a != b])
-          for x, y in itertools.combinations("abcd", 2)]
+    cs = network("0123", *((x, y, [(a, b) for a in "0123" for b in "0123"
+                                    if a != b])
+                           for x, y in itertools.combinations("abcd", 2)))
     with pytest.raises(BudgetExceededError):
-        list(iter_csp_solutions("abcd", domains, cs,
+        list(iter_csp_solutions("abcd", list("0123"), cs,
                                 SearchBudget(max_nodes=2)))
 
 
+# A forced chain: each variable has one viable value after AC.
+CHAIN = network("01", ("a", "b", [("0", "1")]), ("b", "c", [("1", "0")]))
+
+
 def test_propagation_alone_solves_chains():
-    # A forced chain: each variable has one viable value after AC.
-    cs = [edge("a", "b", [("0", "1")]), edge("b", "c", [("1", "0")])]
-    domains = {v: list("01") for v in "abc"}
-    assert solve_csp("abc", domains, cs, SearchBudget()) == \
+    assert solve_csp("abc", list("01"), CHAIN, SearchBudget()) == \
         {"a": "0", "b": "1", "c": "0"}
 
 
 def test_arc_consistency_alone_ticks_the_budget():
     # The forced chain above needs no search at all.
-    cs = [edge("a", "b", [("0", "1")]), edge("b", "c", [("1", "0")])]
-    domains = {v: list("01") for v in "abc"}
     with pytest.raises(BudgetExceededError):
-        solve_csp("abc", domains, cs, SearchBudget(max_nodes=1))
+        solve_csp("abc", list("01"), CHAIN, SearchBudget(max_nodes=1))
 
 
 def random_network(rng: random.Random):
@@ -159,17 +151,23 @@ def random_network(rng: random.Random):
     return variables, domains, constraints
 
 
-@pytest.mark.parametrize("as_rows", [False, True])
-def test_matches_the_reference_solver_in_order(as_rows):
-    rng = random.Random(7 + as_rows)
+@pytest.mark.parametrize("spare_values", [False, True])
+def test_matches_the_reference_solver_in_order(spare_values):
+    # The reference takes each domain as a value list and each
+    # constraint as pairs. The solver takes the same network as masks
+    # over one sorted value list, which holds either exactly the values
+    # of the domains or also "e" and "f", which no domain holds.
+    rng = random.Random(7 + spare_values)
     seen_solutions = 0
     for _ in range(400):
         variables, domains, triples = random_network(rng)
-        values = sorted({a for v in variables for a in domains[v]})
-        cs = [Constraint(x, y, pair_rows(pairs, values) if as_rows else pairs)
-              for x, y, pairs in triples]
+        used = {a for v in variables for a in domains[v]}
+        values = sorted(used | {"e", "f"} if spare_values else used)
+        index = {a: i for i, a in enumerate(values)}
+        dom = [sum(1 << index[a] for a in set(domains[v])) for v in variables]
         got = [list(s.items()) for s in
-               iter_csp_solutions(variables, domains, cs, SearchBudget())]
+               iter_csp_solutions(variables, values, network(values, *triples),
+                                  SearchBudget(), dom)]
         want = [list(s.items()) for s in
                 reference_csp(variables, domains, triples)]
         assert got == want, (variables, domains, triples)
@@ -249,7 +247,7 @@ def random_mask_network(rng: random.Random):
         relation = Rows(tuple(rows), tuple(_transpose(rows)))
         constraints.append((rng.choice(names), rng.choice(names), relation))
     var = {v: i for i, v in enumerate(names)}
-    support = _network(var, list(range(k)), dom, constraints)
+    support = _network(var, k, dom, constraints)
     return dom, support
 
 
@@ -334,20 +332,17 @@ def test_solvers_answer_as_with_revision_value_by_value(monkeypatch):
 def test_a_repeated_constraint_changes_neither_answer_nor_ticks():
     # A constraint given twice is folded into the stored one, and a
     # self-loop narrows its domain the same way twice.
-    diff = frozenset([("g", "r"), ("r", "g")])
     names = [f"v{i}" for i in range(6)]
-    cs = [(x, y, diff) for x, y in zip(names, names[1:])]
-    cs.append(("v0", "v0", frozenset([("g", "g")])))
-    domains = {v: ["g", "r"] for v in names}
+    cs = network(COLORS, *((x, y, DIFF) for x, y in zip(names, names[1:])),
+                 ("v0", "v0", [("g", "g")]))
     once, twice = SearchBudget(), SearchBudget()
-    sol = solve_csp(names, domains, cs, once)
+    sol = solve_csp(names, COLORS, cs, once)
     assert sol == {v: "gr"[i % 2] for i, v in enumerate(names)}
-    assert solve_csp(names, domains, cs + cs, twice) == sol
+    assert solve_csp(names, COLORS, cs + cs, twice) == sol
     assert twice.nodes == once.nodes
     short = Rows((0b1,), (0b1,))
-    with pytest.raises(ValueError, match="sorted union"):
-        solve_csp(["v"], {"v": ["g", "r"]}, [("v", "v", short)],
-                  SearchBudget())
+    with pytest.raises(ValueError, match="value list"):
+        solve_csp(["v"], COLORS, [("v", "v", short)], SearchBudget())
 
 
 def test_forced_values_cost_no_tick():
@@ -356,16 +351,15 @@ def test_forced_values_cost_no_tick():
     # assigned without a tick.
     n = 12
     names = [f"v{i}" for i in range(n)]
-    diff = [("g", "r"), ("r", "g")]
-    cs = [edge(x, y, diff) for x, y in zip(names, names[1:])]
+    cs = network(COLORS, *((x, y, DIFF) for x, y in zip(names, names[1:])))
     budget = SearchBudget()
-    sol = solve_csp(names, {v: ["g", "r"] for v in names}, cs, budget)
+    sol = solve_csp(names, COLORS, cs, budget)
     assert sol == {v: "gr"[i % 2] for i, v in enumerate(names)}
     # The ticks of arc consistency, of the one value tried and of its
     # propagation, and no more.
     var = {v: i for i, v in enumerate(names)}
     dom = [0b11] * n
-    support = _network(var, ["g", "r"], dom, cs)
+    support = _network(var, len(COLORS), dom, cs)
     ac = SearchBudget()
     assert _propagate(dom, support, range(n), ac, [])
     dom[0] = 0b01

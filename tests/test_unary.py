@@ -38,6 +38,7 @@ from rgphom.unary import (
     solve_undirected,
     to_scheduling,
     _PcNetwork,
+    _arc_constraints,
     _path_witnesses,
     _two_coloring,
 )
@@ -474,6 +475,28 @@ def test_to_scheduling_rejects_unpruned_intra_arc():
         to_scheduling(p, 4)
 
 
+def test_a_collapsed_pattern_schedules_as_its_pruned_one():
+    # solve_path_template schedules collapse_levels' pattern as it is:
+    # no a+ arc is left inside a component, and to_scheduling keeps the
+    # tightest deadline between two components, the one of the arc
+    # prune_plus_arcs keeps.
+    collapsible = dropped = 0
+    for seed in range(3000):
+        rng = random.Random(seed)
+        n = rng.randint(1, 9)
+        p = random_unary_pattern(seed, n, rng.randint(0, 2 * n))
+        try:
+            c = collapse_levels(p)
+        except (NotAcyclicError, NotBalancedError):
+            continue
+        pruned = prune_plus_arcs(c)
+        assert pruned is not None, seed
+        assert to_scheduling(c.rgp, n) == to_scheduling(pruned, n), seed
+        collapsible += 1
+        dropped += len(pruned.arcs) < len(c.rgp.arcs)
+    assert collapsible > 800 and dropped > 10
+
+
 def test_scheduling_worked_example_latest_starts():
     inst = SchedulingInstance(jobs=("C1", "C2"),
                               durations={"C1": 2, "C2": 1},
@@ -588,6 +611,18 @@ def test_path_template_empty_target():
     empty = make_rgp("a", [], [])
     assert solve_path_template(p, empty) is None
     assert n_hom(p, empty) is None
+
+
+def test_two_labeled_solvers_on_empty_digraphs():
+    # An empty pattern maps by the empty map; nothing maps into an empty
+    # template.
+    empty = TwoLabeledDigraph((), frozenset(), frozenset())
+    one = TwoLabeledDigraph(("x",), frozenset(), frozenset({("x", "x")}))
+    for solve in (hom_two_labeled, path_consistency_solve):
+        assert solve(empty, one) == {}
+        assert solve(empty, empty) == {}
+        assert solve(one, empty) is None
+        assert solve(one, one) == {"x": "x"}
 
 
 def test_path_template_rejects_bad_targets():
@@ -731,7 +766,7 @@ def test_path_consistency_spends_the_budget():
 
 
 def _first_map_of_the_closure(g, h):
-    net = _PcNetwork(g, h)
+    net = _PcNetwork(g.vertices, *_arc_constraints(g, h))
     return net.first_solution() if net.close(SearchBudget()) else None
 
 
@@ -835,7 +870,7 @@ def test_path_consistency_closure_matches_naive_sweeps():
         h = TwoLabeledDigraph(hs, random_digraph(rng, hs, 0.5, True),
                               random_digraph(rng, hs, 0.6, True))
         expected = _closed_by_sweeps(g, h)
-        net = _PcNetwork(g, h)
+        net = _PcNetwork(g.vertices, *_arc_constraints(g, h))
         assert net.close(SearchBudget()) == (expected is not None), seed
         if expected is None:
             continue
