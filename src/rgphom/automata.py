@@ -27,15 +27,17 @@ sink when it is reachable.
 Sets of NFA states are int bitmasks: bit q stands for state q, and an
 Nfa holds its accepting states and its moves that way too. A subset
 is stepped on a symbol by OR-ing the successor masks of its states
-(_successor_masks, _step), the one subset kernel that determinize, the
-on-the-fly inclusion search in languages and the label images of the
-walk engine all use. determinize numbers DFA states in breadth-first
-discovery order, symbols taken in sorted order, and ticks the search
-budget once per subset state.
+(_successor_masks, _step), the one subset kernel that determinize, word
+membership (_accepts), the on-the-fly inclusion search in languages and
+the label images of the walk engine all use. determinize numbers DFA
+states in breadth-first discovery order, symbols taken in sorted order,
+and ticks the search budget once per subset state; _accepts ticks it
+once per symbol.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -130,11 +132,28 @@ def compile_nfa(node: RegexAst) -> Nfa:
 
 
 def nfa_accepts(nfa: Nfa, word: str) -> bool:
+    """Whether nfa accepts word, with no limit on the steps."""
+    return _accepts(nfa, word, SearchBudget(math.inf, math.inf))
+
+
+def _accepts(nfa: Nfa, word: str, budget: SearchBudget) -> bool:
+    """Whether nfa accepts word: the subset of states the word reaches
+    is stepped one symbol at a time, each step memoised, with one budget
+    tick per symbol; an empty subset ends the walk."""
     masks = _successor_masks(nfa, set(word))
-    current = 1 << nfa.initial
+    # images[ch][S] memoises the step of the subset S on ch.
+    images: dict[str, dict[int, int]] = {ch: {} for ch in masks}
+    subset = 1 << nfa.initial
     for ch in word:
-        current = _step(current, masks[ch])
-    return bool(current & nfa.accepting)
+        budget.tick()
+        memo = images[ch]
+        image = memo.get(subset)
+        if image is None:
+            image = memo[subset] = _step(subset, masks[ch])
+        if not image:
+            return False
+        subset = image
+    return bool(subset & nfa.accepting)
 
 
 def _successor_masks(nfa: Nfa, alphabet: Iterable[str]) -> dict[str, list[int]]:

@@ -31,6 +31,12 @@ counterexample is ever dropped this way, so the first counterexample
 found is still the shortest, alphabetically first word. On e <= e|b*,
 with e = (a|b)*a(a|b)^18, the search ends at its root.
 
+A left side built of Sym and Concat nodes alone denotes one word w, so
+L(e1) <= L(e2) holds exactly when w is in L(e2), and w is then the only
+possible counterexample. language_inclusion decides that case by
+stepping the subset of e2's NFA states that w reaches, one symbol and
+one budget tick at a time, with no NFA for e1 and no search.
+
 Concatenation inclusion chains the factors' NFAs into the target lists
 of one NFA (_chain) instead of folding them into a regex, so a witness
 walk of any length is checked without recursion, in memory linear in
@@ -44,11 +50,12 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .automata import (
-    _step, _successor_masks, compile_nfa, determinize, dfa_accepts, Nfa,
+    _accepts, _step, _successor_masks, compile_nfa, determinize, dfa_accepts,
+    Nfa,
 )
 from .csp import _bits
 from .errors import CapExceededError, PreconditionError, SearchBudget
-from .regexes import RegexAst, sigma_star, symbols
+from .regexes import Concat, RegexAst, Sym, sigma_star, symbols
 
 DEFAULT_WORD_CAP = 200_000
 
@@ -95,9 +102,30 @@ def language_inclusion(e1: RegexAst, e2: RegexAst,
                        budget: SearchBudget | None = None) -> InclusionReport:
     """Decide L(e1) <= L(e2); on failure report the shortest witness
     word, alphabetically first among the shortest."""
+    budget = budget or SearchBudget()
+    word = _word(e1)
+    if word is not None:
+        holds = _accepts(_compiled(e2), word, budget)
+        return InclusionReport(holds, None if holds else word)
     counterexample = _missing_word(_moves(_compiled(e1)), _compiled(e2),
-                                   budget or SearchBudget())
+                                   budget)
     return InclusionReport(counterexample is None, counterexample)
+
+
+def _word(node: RegexAst) -> str | None:
+    """The one word that node denotes when it holds only Sym and Concat
+    nodes, else None."""
+    chars: list[str] = []
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        while type(node) is Concat:
+            stack.append(node.right)
+            node = node.left
+        if type(node) is not Sym:
+            return None
+        chars.append(node.char)
+    return "".join(chars)
 
 
 def _missing_word(n1: _Moves, n2: Nfa, budget: SearchBudget) -> str | None:

@@ -13,17 +13,27 @@ concatenation read so far in the innermost open group, and saves those
 of the enclosing groups on a stack when a parenthesis opens. Postfix
 operators apply to the operand just read; union and concatenation
 fold left. A group adds no node of its own: `((a))` parses to `a`.
+Runs of plain symbols, of opening parentheses and of closing ones that
+end groups holding nothing else are each taken in one step.
 
 There is one `Sym` object per character: `Sym("a") is Sym("a")`, and a
-`Sym` compares and hashes by identity, in C. Equality of `Union`,
-`Concat` and `Star` stays structural, and stops at identical `Sym`s.
-The table of `Sym`s is a plain dict keyed by character, so it holds at
-most one entry per character ever used; it is never cleared.
+`Sym` compares and hashes by identity, in C. The table of `Sym`s is a
+plain dict keyed by character, so it holds at most one entry per
+character ever used; it is never cleared.
+
+`Union`, `Concat` and `Star` are tuples of their children followed by
+a structural hash, computed from the children's hashes when the node is
+built, so hashing a node costs the same at any depth. Equality is
+structural: it runs on an explicit stack and stops at identical nodes,
+at nodes of different types and at nodes with different hashes. So no
+hash and no comparison recurses, however deep the expression.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Union as TUnion
 
 from .errors import RegexParseError
@@ -51,26 +61,86 @@ class Sym:
         return Sym, (self.char,)
 
 
-@dataclass(frozen=True)
-class Union:
-    left: "RegexAst"
-    right: "RegexAst"
+_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class Concat:
-    left: "RegexAst"
-    right: "RegexAst"
+class _Node(tuple):
+    """A composite node: its children, then its structural hash."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return self[-1]
+
+    def __eq__(self, other: object) -> bool:
+        return _equal(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not _equal(self, other)
+
+    def _unordered(self, other: object):
+        return NotImplemented
+
+    # Tuples are ordered; nodes are not.
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+    def __reduce__(self):
+        # Rebuilt from the children, so the hash is computed anew: a
+        # Sym's hash, and so every hash above it, differs per process.
+        return type(self), self[:-1]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({serialize_regex(self)!r})"
 
 
-@dataclass(frozen=True)
-class Star:
-    child: "RegexAst"
+class Union(_Node):
+    __slots__ = ()
+    left = property(itemgetter(0))
+    right = property(itemgetter(1))
+
+    def __new__(cls, left: "RegexAst", right: "RegexAst") -> "Union":
+        return _new(cls, (left, right, hash((Union, hash(left), hash(right)))))
+
+
+class Concat(_Node):
+    __slots__ = ()
+    left = property(itemgetter(0))
+    right = property(itemgetter(1))
+
+    def __new__(cls, left: "RegexAst", right: "RegexAst") -> "Concat":
+        return _new(cls, (left, right, hash((Concat, hash(left), hash(right)))))
+
+
+class Star(_Node):
+    __slots__ = ()
+    child = property(itemgetter(0))
+
+    def __new__(cls, child: "RegexAst") -> "Star":
+        return _new(cls, (child, hash((Star, hash(child)))))
 
 
 RegexAst = TUnion[Sym, Union, Concat, Star]
 
+
+def _equal(a: _Node, b: object) -> bool:
+    """Structural equality of a composite node with anything, on an
+    explicit stack of node pairs still to compare."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        # Distinct Syms are distinct characters.
+        if type(x) is not type(y) or type(x) is Sym or x[-1] != y[-1]:
+            return False
+        stack += zip(x[:-1], y[:-1])
+    return True
+
+
 _META = set("|()*+.")
+# Runs that parse_regex takes in one step.
+_SYMBOLS = re.compile(r"[^|()*+.]+")
+_OPENS = re.compile(r"\(+")
 
 
 def plus(child: RegexAst) -> RegexAst:
@@ -79,9 +149,10 @@ def plus(child: RegexAst) -> RegexAst:
 
 
 def is_plus(node: RegexAst) -> bool:
-    """True if node has the shape produced by plus()."""
-    return (isinstance(node, Concat) and isinstance(node.right, Star)
-            and node.right.child == node.left)
+    """True if node is what plus() builds: a Concat whose right side is
+    the Star of the very object on its left."""
+    return (type(node) is Concat and type(node.right) is Star
+            and node.right.child is node.left)
 
 
 def symbols(node: RegexAst) -> frozenset[str]:
@@ -136,6 +207,10 @@ def parse_regex(text: str, alphabet: Iterable[str]) -> RegexAst:
     bad = sorted(c for c in alpha if len(c) != 1 or c in _META)
     if bad:
         raise RegexParseError(f"invalid alphabet entries: {bad}")
+    # Each symbol's Sym is then read straight from the table.
+    for c in alpha - _SYMS.keys():
+        Sym(c)
+    syms = _SYMS
 
     def error(message: str) -> RegexParseError:
         return RegexParseError(f"{message} at position {pos} in {text!r}")
@@ -156,6 +231,12 @@ def parse_regex(text: str, alphabet: Iterable[str]) -> RegexAst:
             groups.append((union, concat))
             union = concat = None
             pos += 1
+            if pos < end and text[pos] == "(":
+                # The rest of a run of them: each opens inside an empty
+                # group.
+                stop = _OPENS.match(text, pos).end()
+                groups += [(None, None)] * (stop - pos)
+                pos = stop
             continue
         if ch is None:
             raise error("expected a symbol or group")
@@ -163,8 +244,26 @@ def parse_regex(text: str, alphabet: Iterable[str]) -> RegexAst:
             raise error(f"operator {ch!r} has no operand")
         if ch not in alpha:
             raise error(f"symbol {ch!r} not in alphabet")
+        node: RegexAst = syms[ch]
         pos += 1
-        node: RegexAst = Sym(ch)
+        if pos < end and text[pos] not in _META:
+            # A run of symbols: all but the last are concatenated here,
+            # each hash built from the one before as Concat() builds it,
+            # and the last is the operand, which postfix operators may
+            # follow.
+            stop = _SYMBOLS.match(text, pos).end()
+            run = text[pos:stop]
+            if not alpha.issuperset(run):
+                pos += next(i for i, c in enumerate(run) if c not in alpha)
+                raise error(f"symbol {text[pos]!r} not in alphabet")
+            concat = node if concat is None else Concat(concat, node)
+            h = hash(concat)
+            for c in run[:-1]:
+                node = syms[c]
+                h = hash((Concat, h, hash(node)))
+                concat = _new(Concat, (concat, node, h))
+            node = syms[run[-1]]
+            pos = stop
         # After an operand: its postfix operators, then what follows it.
         while True:
             while pos < end and text[pos] in "*+":
@@ -188,10 +287,16 @@ def parse_regex(text: str, alphabet: Iterable[str]) -> RegexAst:
                 return union
             if not groups:
                 raise error("unexpected character")
-            # ch closes the innermost group, whose union is the operand.
+            # ch closes the innermost group, whose union is the operand;
+            # so do the parentheses right after it that close groups
+            # holding nothing else.
             pos += 1
             node = union
             union, concat = groups.pop()
+            while (union is None and concat is None and groups
+                   and pos < end and text[pos] == ")"):
+                pos += 1
+                union, concat = groups.pop()
 
 
 # Precedence levels used when re-rendering: union < concat < postfix.

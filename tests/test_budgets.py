@@ -134,6 +134,19 @@ def test_a_one_node_budget_stops_every_budgeted_function(fn):
         _run(fn, SearchBudget(max_nodes=1))
 
 
+@pytest.mark.parametrize("e2", ["(a|b)*", "a*"])
+def test_a_one_node_budget_stops_inclusion_of_one_word(e2):
+    # A left side of Sym and Concat nodes only is one word, stepped
+    # through e2's NFA with one tick per symbol; this is the path
+    # language_inclusion takes with no search, both when the word is in
+    # L(e2) and when it is not.
+    budget = SearchBudget()
+    language_inclusion(rx("abab"), rx(e2), budget)
+    assert budget.nodes > 1
+    with pytest.raises(BudgetExceededError):
+        language_inclusion(rx("abab"), rx(e2), SearchBudget(max_nodes=1))
+
+
 def test_the_table_lists_every_budgeted_function():
     budgeted = set()
     for info in pkgutil.iter_modules(rgphom.__path__):

@@ -550,22 +550,49 @@ def test_core_of_a_gadget_with_a_deeply_nested_label(runner):
                        "witnesses": {"0": [0], "1": [0]}}}
 
 
-@pytest.mark.parametrize("label", DEEP_LABELS[1:], ids=("long",))
-def test_unexpected_failures_exit_four(capsys, label):
-    code = main(["include", label, "a", "--alphabet", "a"])
+@pytest.mark.parametrize("e2, code, doc", [
+    ("(a|b)*", 0, {"holds": True}),
+    ("a", 1, {"holds": False, "counterexample": DEEP_LABELS[1]}),
+], ids=("in", "out"))
+def test_a_long_word_is_decided(capsys, e2, code, doc):
+    assert main(["include", DEEP_LABELS[1], e2, "--alphabet", "ab"]) == code
+    assert as_doc(capsys.readouterr().out) == doc
+
+
+# No input is known to fail unexpectedly, so the failure is injected
+# into the call that include makes.
+FAILURES = (RecursionError("maximum recursion depth exceeded"),
+            MemoryError(), KeyError("x"))
+
+
+@pytest.mark.parametrize("failure", FAILURES,
+                         ids=lambda failure: type(failure).__name__)
+def test_unexpected_failures_exit_four(capsys, monkeypatch, failure):
+    def fail(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr("rgphom.cli.language_inclusion", fail)
+    code = main(["include", "a", "a", "--alphabet", "a"])
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1
+    assert captured.err == f"error: {type(failure).__name__}: {failure}\n"
 
 
 def test_unexpected_failures_leave_no_traceback():
     src = str(Path(rgphom.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
+    program = (
+        "import sys\n"
+        "import rgphom.cli\n"
+        "def fail(*args):\n"
+        "    raise RecursionError('maximum recursion depth exceeded')\n"
+        "rgphom.cli.language_inclusion = fail\n"
+        "sys.exit(rgphom.cli.main(sys.argv[1:]))\n")
     done = subprocess.run(
-        [sys.executable, "-m", "rgphom.cli", "include", DEEP_LABELS[1], "a",
+        [sys.executable, "-c", program, "include", "a", "a",
          "--alphabet", "a"],
         capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 4 and done.stdout == ""
     assert "Traceback" not in done.stderr
-    assert done.stderr.startswith("error: ")
+    assert done.stderr == ("error: RecursionError: maximum recursion depth "
+                           "exceeded\n")

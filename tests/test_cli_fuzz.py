@@ -5,7 +5,8 @@ Whatever the input, a run must end with exit code 0 or 1 (an answer,
 printed as exactly one JSON line unless DOT was asked for), 2 (unusable
 input) or 3 (a budget or cap ran out), and print nothing on stdout in
 the last two cases.  Exit 4, an unexpected failure, is never right.
-Labels stay under 300 symbols.
+Labels run up to 5000 symbols: long words, and a symbol nested in up
+to 3000 pairs of parentheses.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -25,12 +27,22 @@ from rgphom.testkit import random_regex
 NAMES = ("u", "v", "w", "x")
 JUNK = (None, 0, -1, 2.5, True, "", "u", [], {}, ["a", "b"], {"a": 1})
 
-valid_regexes = st.one_of(
+short_regexes = st.one_of(
     st.sampled_from(("a", "a+", "b", "(a|b)*", "ab*", "a.b", "b+a", "(ab)+",
                      "a**", "((a))", "(a|b)*a(a|b)")),
     st.builds(lambda seed, size: serialize_regex(random_regex(seed, size, "ab")),
               st.integers(0, 2**32), st.integers(1, 12)),
 )
+# Long words, and `a` deep in parentheses with or without a star on
+# each group.
+long_regexes = st.one_of(
+    st.builds(lambda seed, n: "".join(random.Random(seed).choices("ab", k=n)),
+              st.integers(0, 2**32), st.integers(300, 5000)),
+    st.builds(lambda n, postfix: "(" * n + "a" + (")" + postfix) * n,
+              st.integers(300, 3000), st.sampled_from(("", "*"))),
+)
+valid_regexes = st.one_of(short_regexes, short_regexes, short_regexes,
+                          long_regexes)
 regexes = st.one_of(
     valid_regexes,
     valid_regexes,

@@ -11,10 +11,11 @@ from rgphom.errors import (
     BudgetExceededError, CapExceededError, PreconditionError, SearchBudget,
 )
 from rgphom.languages import (
-    _moves, _simulation, concat_inclusion, language_inclusion, truncated_words,
-    truncation_equivalence_check, universality,
+    _missing_word, _moves, _simulation, _word, concat_inclusion,
+    language_inclusion, truncated_words, truncation_equivalence_check,
+    universality,
 )
-from rgphom.regexes import Sym, parse_regex, plus
+from rgphom.regexes import Concat, Sym, parse_regex, plus
 from rgphom.testkit import concat_ast, random_regex
 
 from helpers import (
@@ -84,6 +85,42 @@ def test_inclusion_matches_the_full_dfa_search_on_exponential_families():
         e1, e2 = rx(left, alpha), rx(right, alpha)
         assert language_inclusion(e1, e2).counterexample == \
             reference_inclusion(e1, e2), (left, right)
+
+
+def _random_word_ast(rng, word):
+    """The Concat of word's symbols under a random bracketing."""
+    parts = [Sym(ch) for ch in word]
+    while len(parts) > 1:
+        k = rng.randrange(len(parts) - 1)
+        parts[k:k + 2] = [Concat(parts[k], parts[k + 1])]
+    return parts[0]
+
+
+def test_one_word_inclusion_matches_the_general_search():
+    # A left side of Sym and Concat nodes only is decided by stepping
+    # e2's NFA over its word; the search over e1's NFA must give the
+    # same verdict and the same counterexample, the word itself.
+    rng = random.Random(27)
+    inclusions = 0
+    for k in range(2000):
+        alpha = ("a", "ab", "abc")[k % 3]
+        word = "".join(rng.choice(alpha) for _ in range(rng.randint(1, 12)))
+        e1 = _random_word_ast(rng, word)
+        e2 = random_regex(rng, rng.randint(1, 14), alpha)
+        assert _word(e1) == word
+        expected = _missing_word(_moves(compile_nfa(e1)), compile_nfa(e2),
+                                 SearchBudget())
+        report = language_inclusion(e1, e2)
+        assert report.counterexample == expected, (word, e2)
+        assert report.holds == (expected is None)
+        inclusions += report.holds
+    assert 100 < inclusions < 1900
+
+
+def test_only_sym_and_concat_nodes_make_a_word():
+    assert _word(rx("a(ba)b")) == "abab"
+    for text in ("a*", "ab|b", "a+b", "ab(a|b)", "(ab)*b"):
+        assert _word(rx(text)) is None
 
 
 def test_counterexample_empty_word_needs_no_subset_construction():

@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import os
 import pickle
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import rgphom
 from rgphom.automata import compile_nfa
 from rgphom.errors import RegexParseError
 from rgphom.regexes import (
@@ -122,6 +126,17 @@ def test_parse_matches_recursive_descent():
                 == _parse_outcome(reference_parse_regex, text)), text
 
 
+def test_parse_matches_recursive_descent_on_runs():
+    # Strings strung from runs of one character, which parse_regex reads
+    # in one step: symbols, opening and closing parentheses.
+    rng = random.Random(5)
+    for _ in range(20_000):
+        text = "".join(rng.choice("ab()|*+.c") * rng.randint(1, 4)
+                       for _ in range(rng.randint(1, 6)))
+        assert (_parse_outcome(parse_regex, text)
+                == _parse_outcome(reference_parse_regex, text)), text
+
+
 @pytest.mark.parametrize("label", ["(" * 3000 + "a" + ")" * 3000, "a" * 5000],
                          ids=["nested", "long"])
 def test_deep_labels_parse_and_compile_without_recursion(label):
@@ -133,6 +148,57 @@ def test_deep_labels_parse_and_compile_without_recursion(label):
         sys.setrecursionlimit(limit)
     assert nfa.n_states == label.count("a") + 1
     assert nfa.accepting == 1 << (nfa.n_states - 1)
+
+
+def test_separately_built_equal_trees_are_equal_and_hash_equal():
+    for text in ("a", "ab|b*", "(ab)+a", "((a|b)*a)*|b+"):
+        first, second = parse_regex(text, "ab"), parse_regex(text, "ab")
+        assert first == second and not first != second
+        assert hash(first) == hash(second)
+    x, y = Sym("a"), Star(Sym("b"))
+    assert Union(x, y) == Union(x, Star(Sym("b")))
+    assert Union(x, y) != Concat(x, y) and not Union(x, y) == Concat(x, y)
+    assert Union(x, y) != Union(y, x)
+    assert Star(x) != Star(Sym("b")) and Star(x) != x
+    # A node is a tuple underneath, but equals no plain tuple.
+    assert Concat(x, y) != tuple(Concat(x, y))
+    with pytest.raises(TypeError):
+        Concat(x, y) < Concat(x, x)
+
+
+# Run in a child process: a hash or a comparison that recursed in C
+# would overflow the stack and kill the process, and pytest with it.
+DEEP_INPUTS = """
+from rgphom.cli import main
+from rgphom.regexes import parse_regex, serialize_regex
+n = 100_000
+shapes = {
+    "word": "a" * (2 * n),
+    "nested": "(" * n + "a" + ")" * n,
+    "stars": "(" * n + "a" + ")*" * n,
+    "right_concat": "a(" * n + "a" + ")" * n,
+    "right_union": "a|(" * n + "a" + ")" * n,
+}
+for name, text in shapes.items():
+    first, second = parse_regex(text, "ab"), parse_regex(text, "ab")
+    assert first == second and hash(first) == hash(second), name
+    assert first != parse_regex(text + "a", "ab"), name
+    assert parse_regex(serialize_regex(first), "ab") == first, name
+for text in (shapes["word"], shapes["nested"]):
+    assert main(["include", text, "(a|b)*", "--alphabet", "ab"]) == 0
+    assert main(["include", text, "b", "--alphabet", "ab"]) == 1
+print("done")
+"""
+
+
+def test_deep_inputs_parse_hash_compare_and_round_trip_in_a_child():
+    src = str(Path(rgphom.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", DEEP_INPUTS],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.endswith("done\n")
 
 
 def test_parse_symbol_outside_alphabet():
@@ -161,6 +227,15 @@ def test_is_plus():
     assert is_plus(plus(Sym("a")))
     assert is_plus(parse_regex("(ab)+", "ab"))
     assert not is_plus(Concat(Sym("a"), Star(Sym("b"))))
+
+
+def test_is_plus_asks_for_the_shared_operand():
+    # plus() puts one object on both sides. An equal copy on the right
+    # makes a concatenation, which renders as one and parses back equal.
+    twice = Concat(parse_regex("ab", "ab"), Star(parse_regex("ab", "ab")))
+    assert not is_plus(twice)
+    assert serialize_regex(twice) == "ab(ab)*"
+    assert parse_regex("ab(ab)*", "ab") == twice
 
 
 def test_symbols_and_node_count():
